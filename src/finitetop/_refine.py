@@ -11,7 +11,7 @@ iterated fingerprints across the whole pool.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 def up_masks(masks: Sequence[int]) -> list[int]:
@@ -27,7 +27,8 @@ def up_masks(masks: Sequence[int]) -> list[int]:
     return ups
 
 
-def _bits(mask: int):
+def iter_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, least first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -51,7 +52,7 @@ def refine_colors(
     if initial is None:
         sigs: list[list[tuple]] = [
             [
-                (m.bit_count(), tuple(sorted(masks[y].bit_count() for y in _bits(m))))
+                (m.bit_count(), tuple(sorted(masks[y].bit_count() for y in iter_bits(m))))
                 for m in masks
             ]
             for masks in pool
@@ -74,8 +75,8 @@ def refine_colors(
                 [
                     (
                         cs[x],
-                        tuple(sorted(cs[y] for y in _bits(masks[x]))),
-                        tuple(sorted(cs[z] for z in _bits(us[x]))),
+                        tuple(sorted(cs[y] for y in iter_bits(masks[x]))),
+                        tuple(sorted(cs[z] for z in iter_bits(us[x]))),
                     )
                     for x in range(len(masks))
                 ]
@@ -113,7 +114,7 @@ def _encode(masks: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
     rows = []
     for old in order:
         r = 0
-        for y in _bits(masks[old]):
+        for y in iter_bits(masks[old]):
             r |= 1 << pos[y]
         rows.append(r)
     return tuple(rows)
@@ -125,8 +126,9 @@ def canonical_order(masks: Sequence[int]) -> tuple[int, ...]:
     Points are arranged by refined color; ties are resolved by
     individualizing one candidate at a time and keeping the ordering with
     the lexicographically least relabeled mask table.  Candidates related
-    by a transposition symmetry are interchangeable and only tried once,
-    which keeps the search linear on the highly symmetric stock spaces.
+    by a transposition symmetry are interchangeable and only tried once;
+    no symmetry that moves more than two points is pruned, so the search
+    still visits b! leaves on ``blocks(b, m)``.
     The relabeled table depends only on the structure, never on the
     incoming point numbering.
     """

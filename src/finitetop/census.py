@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .core import PointSet, Space, canonical_form
-from .errors import TooLarge
+from .errors import InternalError, TooLarge
 from .invariants import index_of, min_of
 from .maps import find_homeomorphism
 
@@ -97,7 +97,7 @@ def census(n: int) -> CensusRow:
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             if find_homeomorphism(reps[i], reps[j]) is not None:
-                raise AssertionError(
+                raise InternalError(
                     "two canonical classes are homeomorphic; canonicalization is broken"
                 )
 
@@ -112,7 +112,8 @@ def census(n: int) -> CensusRow:
                 index_x=index_of(rep),
             )
         )
-    assert sum(c.size for c in classes) == total
+    if sum(c.size for c in classes) != total:
+        raise InternalError("class sizes do not add up to the labeled count")
     return CensusRow(
         n=n,
         total_labeled=total,

@@ -21,8 +21,9 @@ Glue data files use two record kinds::
 
 Exit codes: 0 success, 1 negative answer (not continuous, not
 homeomorphic, invalid space under ``validate``, glue rejection), 2 input
-error.  Setting the environment variable FINITETOP_VERBOSE prints
-tracebacks for input errors.
+error, 3 internal error (a failed self-check; its traceback is printed).
+Setting the environment variable FINITETOP_VERBOSE prints tracebacks for
+input errors.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .constructions import Partition, disjoint_sum, product, quotient, subspace,
 from .core import PointSet, Space, from_neighborhoods
 from .errors import (
     FinitetopError,
+    InternalError,
     NotWellDefined,
     OverlapMismatch,
     ParseError,
@@ -47,7 +49,7 @@ from .errors import (
     ValidationError,
 )
 from .generators import GeneratorSpec
-from .invariants import InvariantReport, is_basic, report
+from .invariants import InvariantReport, _classify, report
 from .maps import GlueData, SpaceMap, find_homeomorphism, glue, is_continuous
 
 _LABEL_RE = re.compile(r"[^\s#:]+\Z")
@@ -222,9 +224,10 @@ def to_dot(space: Space) -> str:
     with equal neighborhoods keep their mutual edges.
     """
     lines = ["digraph space {", "  rankdir=BT;"]
+    basic = _classify(space).basic
     for x in range(space.n):
         attrs = [f'label="{space.label_of(x)} ({len(space.nbhd[x])})"']
-        if space.n > 0 and is_basic(space, x):
+        if basic >> x & 1:
             attrs.append("peripheries=2")
         lines.append(f"  p{x} [{', '.join(attrs)}];")
     masks = space.masks
@@ -576,6 +579,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.handler(args)
+    except InternalError as err:
+        traceback.print_exc()
+        print(f"internal error: {err}", file=sys.stderr)
+        return 3
     except _INPUT_ERRORS as err:
         if os.environ.get("FINITETOP_VERBOSE"):
             traceback.print_exc()

@@ -6,8 +6,9 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
 
-from .core import PointSet, Space, from_neighborhoods, is_open, _mask_members
-from .errors import PartitionMismatch, SizeOverflow
+from ._refine import iter_bits
+from .core import PointSet, Space, from_neighborhoods, is_open
+from .errors import InternalError, PartitionMismatch, SizeOverflow
 
 #: Default cap on result carriers; keeps bit-vector work fast at desk scale.
 DEFAULT_CARRIER_BOUND = 4096
@@ -93,7 +94,7 @@ def product(a: Space, b: Space, bound: int = DEFAULT_CARRIER_BOUND) -> Space:
         for y in range(b.n):
             mb = b.masks[y]
             m = 0
-            for u in _mask_members(ma):
+            for u in iter_bits(ma):
                 m |= mb << (u * b.n)
             nb.append(PointSet(n, m))
     labels: tuple[str, ...] | None = None
@@ -111,9 +112,9 @@ def product_n(spaces: Sequence[Space], bound: int = DEFAULT_CARRIER_BOUND) -> Sp
     return reduce(lambda acc, s: product(acc, s, bound), spaces)
 
 
-def _compress(mask: int, members: Sequence[int], index: dict[int, int]) -> int:
+def _compress(mask: int, index: dict[int, int]) -> int:
     out = 0
-    for p in _mask_members(mask):
+    for p in iter_bits(mask):
         out |= 1 << index[p]
     return out
 
@@ -128,7 +129,7 @@ def subspace(x: Space, a: PointSet) -> Space:
     members = a.members()
     index = {p: i for i, p in enumerate(members)}
     n = len(members)
-    nb = [PointSet(n, _compress(x.masks[p] & a.bits, members, index)) for p in members]
+    nb = [PointSet(n, _compress(x.masks[p] & a.bits, index)) for p in members]
     labels = None
     if x.labels is not None:
         labels = tuple(x.labels[p] for p in members)
@@ -154,7 +155,7 @@ def quotient(x: Space, p: Partition) -> Space:
         w = cmasks[c]
         while True:
             hull = 0
-            for y in _mask_members(w):
+            for y in iter_bits(w):
                 hull |= x.masks[y]
             sat = 0
             for d in range(p.k):
@@ -164,7 +165,7 @@ def quotient(x: Space, p: Partition) -> Space:
                 break
             w = sat
         if not is_open(x, PointSet(x.n, w)) or w & cmasks[c] != cmasks[c]:
-            raise AssertionError("saturation fixpoint produced a non-open preimage")
+            raise InternalError("saturation fixpoint produced a non-open preimage")
         cls_bits = 0
         for d in range(p.k):
             if cmasks[d] & ~w == 0:
@@ -193,7 +194,8 @@ def t0_quotient(x: Space) -> tuple[Space, Partition]:
         assignment.append(first[m])
     part = Partition.from_class_of(assignment)
     q = quotient(x, part)
-    assert len(set(q.masks)) == q.n, "quotient classes share a neighborhood"
+    if len(set(q.masks)) != q.n:
+        raise InternalError("quotient classes share a neighborhood")
     return q, part
 
 

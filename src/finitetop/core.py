@@ -19,6 +19,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from . import _refine
+from ._refine import iter_bits
 from .errors import (
     MinimalityViolation,
     NoMinimalSet,
@@ -32,13 +33,6 @@ from .errors import (
 
 #: Cap on the number of open sets `open_sets` will enumerate by default.
 DEFAULT_OPEN_SET_LIMIT = 1 << 20
-
-
-def _mask_members(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -70,13 +64,13 @@ class PointSet:
         return cls(size, (1 << size) - 1)
 
     def members(self) -> tuple[int, ...]:
-        return tuple(_mask_members(self.bits))
+        return tuple(iter_bits(self.bits))
 
     def __contains__(self, point: int) -> bool:
         return 0 <= point < self.size and self.bits >> point & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        return _mask_members(self.bits)
+        return iter_bits(self.bits)
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -176,7 +170,7 @@ class Space:
                 raise ReflexivityViolation(x)
         for x in range(self.n):
             mx = masks[x]
-            for y in _mask_members(mx):
+            for y in iter_bits(mx):
                 if masks[y] & ~mx:
                     raise MinimalityViolation(x, y)
         if self.labels is not None:
@@ -191,11 +185,6 @@ class Space:
     def masks(self) -> tuple[int, ...]:
         """Neighborhoods as raw bitmasks; the workhorse representation."""
         return tuple(ps.bits for ps in self.nbhd)
-
-    @cached_property
-    def up_masks(self) -> tuple[int, ...]:
-        """``up_masks[y]`` holds every ``z`` whose neighborhood contains y."""
-        return tuple(_refine.up_masks(self.masks))
 
     @cached_property
     def distinct_masks(self) -> tuple[int, ...]:
@@ -321,7 +310,7 @@ def from_preorder(
         if not up[x] >> x & 1:
             raise NotReflexive(x)
     for a in range(n):
-        for b in _mask_members(up[a]):
+        for b in iter_bits(up[a]):
             extra = up[b] & ~up[a]
             if extra:
                 c = (extra & -extra).bit_length() - 1
@@ -334,7 +323,7 @@ def is_open(space: Space, s: PointSet) -> bool:
     if s.size != space.n:
         raise ValueError(f"carrier sizes differ: {s.size} vs {space.n}")
     m = s.bits
-    return all(space.masks[x] & ~m == 0 for x in _mask_members(m))
+    return all(space.masks[x] & ~m == 0 for x in iter_bits(m))
 
 
 def open_sets(space: Space, limit: int = DEFAULT_OPEN_SET_LIMIT) -> list[PointSet]:
@@ -362,7 +351,7 @@ def relabel(space: Space, perm: Sequence[int]) -> Space:
     nb = [0] * n
     for x, m in enumerate(space.masks):
         t = 0
-        for y in _mask_members(m):
+        for y in iter_bits(m):
             t |= 1 << perm[y]
         nb[perm[x]] = t
     labels: tuple[str, ...] | None = None

@@ -11,6 +11,10 @@ class FinitetopError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InternalError(FinitetopError):
+    """A failed self-check: a defect in this package, never bad input."""
+
+
 # ---------------------------------------------------------------------------
 # space construction
 

@@ -6,6 +6,18 @@ neighborhood is one with no proper neighborhood below it, and a basic one
 additionally meets no neighborhood it is not contained in.  All counts
 are counts of distinct sets, not of points: a neighborhood shared by many
 points contributes once.
+
+Everything is read off one pass mapping each distinct neighborhood e to
+``owners[e]``, its class of points x with S(x) = e.  As S(y) ⊆ S(x)
+exactly when y ∈ S(x):
+
+- S(x) is irreducible ⇔ x is minimal ⇔ S(x) = owners[S(x)];
+- S(x) is inclusion-maximal ⇔ x lies in no ``e & ~owners[e]``;
+- S(x) is basic ⇔ x is minimal and no neighborhood holds x together with
+  a minimal point of another class ⇔ x's class is the least element of
+  its connected component (clause (b) follows from irreducibility), so
+  ``index`` is the number of connected components with a least point;
+- the space is Hausdorff ⇔ Σ|S(x)| = |⋃ S(x)| (= n).
 """
 
 from __future__ import annotations
@@ -13,13 +25,46 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import PointSet, Space
-from .errors import EmptySpace
+from .errors import EmptySpace, InternalError
+
+
+@dataclass(frozen=True)
+class _Classes:
+    owners: dict[int, int]  # in first-owner order
+    minimal: int  # every point whose neighborhood is irreducible
+    basic: int  # every point whose neighborhood is basic
+    maximal: list[int]  # maximal neighborhoods, in first-owner order
+
+
+def _classify(space: Space) -> _Classes:
+    """The one pass every invariant reads off; see the module docstring."""
+    masks = space.masks
+    owners: dict[int, int] = {}
+    for x, m in enumerate(masks):
+        owners[m] = owners.get(m, 0) | 1 << x
+    minimal = below = spoiled = 0  # below: points in a neighborhood not their own
+    for e, o in owners.items():
+        if e == o:
+            minimal |= o
+        below |= e & ~o
+    # Every neighborhood holds a minimal point; it spoils basicness when
+    # its minimal points are not a single class.
+    for e in owners:
+        m = e & minimal
+        if m != masks[(m & -m).bit_length() - 1]:
+            spoiled |= m
+    maximal = [e for e, o in owners.items() if not o & below]
+    return _Classes(owners, minimal, minimal & ~spoiled, maximal)
+
+
+def _least_ids(owners: dict[int, int], points: int) -> int:
+    """The least id of every class that meets ``points``."""
+    return sum(o & -o for o in owners.values() if o & points)
 
 
 def is_irreducible(space: Space, x: int) -> bool:
     """True iff no neighborhood is properly contained in that of x."""
-    d = space.masks[x]
-    return all(m == d or m & ~d for m in space.distinct_masks)
+    return _classify(space).minimal >> x & 1 == 1
 
 
 def is_basic(space: Space, x: int) -> bool:
@@ -29,25 +74,7 @@ def is_basic(space: Space, x: int) -> bool:
     S(z), it also sits inside S(z); (b) it is disjoint from every
     neighborhood it is not contained in.
     """
-    d = space.masks[x]
-    distinct = space.distinct_masks
-    for e in distinct:
-        if d & ~e == 0:
-            for f in distinct:
-                if f & ~e == 0 and d & ~f:
-                    return False
-        elif d & e:
-            return False
-    return True
-
-
-def _maximal_masks(space: Space) -> list[int]:
-    distinct = space.distinct_masks
-    return [
-        d
-        for d in distinct
-        if not any(e != d and d & ~e == 0 for e in distinct)
-    ]
+    return _classify(space).basic >> x & 1 == 1
 
 
 def min_of(space: Space) -> tuple[int, list[PointSet]]:
@@ -61,7 +88,7 @@ def min_of(space: Space) -> tuple[int, list[PointSet]]:
     """
     if space.n == 0:
         raise EmptySpace()
-    masks = _maximal_masks(space)
+    masks = _classify(space).maximal
     return len(masks), [PointSet(space.n, m) for m in masks]
 
 
@@ -69,26 +96,13 @@ def index_of(space: Space) -> int:
     """Number of distinct basic neighborhoods."""
     if space.n == 0:
         raise EmptySpace()
-    count = 0
-    seen: set[int] = set()
-    for x in range(space.n):
-        m = space.masks[x]
-        if m in seen:
-            continue
-        seen.add(m)
-        if is_basic(space, x):
-            count += 1
-    return count
+    c = _classify(space)
+    return _least_ids(c.owners, c.basic).bit_count()
 
 
 def is_hausdorff(space: Space) -> bool:
     """True iff the neighborhoods of any two distinct points are disjoint."""
-    for x in range(space.n):
-        mx = space.masks[x]
-        for y in range(x + 1, space.n):
-            if mx & space.masks[y]:
-                return False
-    return True
+    return sum(m.bit_count() for m in space.masks) == space.n
 
 
 def is_discrete(space: Space) -> bool:
@@ -117,42 +131,32 @@ class InvariantReport:
 
 
 def report(space: Space) -> InvariantReport:
-    """Assemble the full report; internal consistency is asserted."""
+    """Assemble the full report; internal consistency is checked."""
     if space.n == 0:
         raise EmptySpace()
-    min_count, witness = min_of(space)
-    idx = index_of(space)
-
-    basic_bits = 0
-    irr_bits = 0
-    seen: set[int] = set()
-    for x in range(space.n):
-        m = space.masks[x]
-        if m in seen:
-            continue
-        seen.add(m)
-        if is_basic(space, x):
-            basic_bits |= 1 << x
-        if is_irreducible(space, x):
-            irr_bits |= 1 << x
-
+    c = _classify(space)
+    basic = _least_ids(c.owners, c.basic)
     rep = InvariantReport(
         n=space.n,
-        distinct_neighborhoods=len(space.distinct_masks),
-        min_x=min_count,
-        index_x=idx,
-        maximal_nbhds=tuple(witness),
-        basic_points=PointSet(space.n, basic_bits),
-        irreducible_points=PointSet(space.n, irr_bits),
+        distinct_neighborhoods=len(c.owners),
+        min_x=len(c.maximal),
+        index_x=basic.bit_count(),
+        maximal_nbhds=tuple(PointSet(space.n, m) for m in c.maximal),
+        basic_points=PointSet(space.n, basic),
+        irreducible_points=PointSet(space.n, _least_ids(c.owners, c.minimal)),
         is_discrete=is_discrete(space),
         is_hausdorff=is_hausdorff(space),
-        is_t0=len(space.distinct_masks) == space.n,
+        is_t0=len(c.owners) == space.n,
     )
-    assert rep.index_x <= rep.min_x
-    assert rep.basic_points.issubset(rep.irreducible_points)
-    assert rep.is_hausdorff == rep.is_discrete
+    if rep.index_x > rep.min_x:
+        raise InternalError("index exceeds min")
+    if not rep.basic_points.issubset(rep.irreducible_points):
+        raise InternalError("a basic point is not irreducible")
+    if rep.is_hausdorff != rep.is_discrete:
+        raise InternalError("Hausdorff and discrete disagree")
     covered = 0
-    for w in rep.maximal_nbhds:
-        covered |= w.bits
-    assert covered == (1 << space.n) - 1 and len(rep.maximal_nbhds) == rep.min_x
+    for m in c.maximal:
+        covered |= m
+    if covered != (1 << space.n) - 1 or len(rep.maximal_nbhds) != rep.min_x:
+        raise InternalError("the maximal neighborhoods are not a cover of size min")
     return rep

@@ -12,9 +12,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import _refine
+from ._refine import iter_bits
 from .constructions import subspace
-from .core import PointSet, Space, _mask_members
+from .core import PointSet, Space
 from .errors import (
+    InternalError,
     InvalidGlueData,
     NotContinuous,
     NotOpen,
@@ -48,7 +50,7 @@ class SpaceMap:
 
     def image_of(self, mask: int) -> int:
         out = 0
-        for x in _mask_members(mask):
+        for x in iter_bits(mask):
             out |= 1 << self.f[x]
         return out
 
@@ -60,25 +62,12 @@ class SpaceMap:
 
 
 def is_continuous(m: SpaceMap) -> bool:
-    """True iff every preimage of a target basis set is open.
+    """True iff f(S(x)) lies inside S(f(x)) for every source point x.
 
-    Also evaluates the pointwise criterion f(S(x)) inside S(f(x)) and
-    checks the two answers agree; they are equivalent characterizations.
+    This pointwise criterion is equivalent to every preimage of a target
+    basis set being open.
     """
-    src, tgt = m.source, m.target
-    by_preimage = True
-    for y in range(tgt.n):
-        sy = tgt.masks[y]
-        pre = 0
-        for x in range(src.n):
-            if sy >> m.f[x] & 1:
-                pre |= 1 << x
-        if any(src.masks[x] & ~pre for x in _mask_members(pre)):
-            by_preimage = False
-            break
-    by_neighborhood = _continuity_witness(m) is None
-    assert by_preimage == by_neighborhood, "continuity criteria disagree"
-    return by_preimage
+    return _continuity_witness(m) is None
 
 
 def _continuity_witness(m: SpaceMap) -> int | None:
@@ -92,7 +81,7 @@ def _openness_witness(m: SpaceMap) -> int | None:
     image = m.image_bits()
     for x in range(m.source.n):
         fs = m.image_of(m.source.masks[x])
-        for y in _mask_members(fs):
+        for y in iter_bits(fs):
             if m.target.masks[y] & image & ~fs:
                 return x
     return None
@@ -121,22 +110,16 @@ def image_space(m: SpaceMap) -> tuple[Space, SpaceMap]:
     core_f = tuple(index[y] for y in m.f)
     cores = SpaceMap(m.source, sub, core_f)
     for x in range(m.source.n):
-        assert sub.masks[core_f[x]] == cores.image_of(m.source.masks[x]), (
-            "image neighborhoods differ from mapped neighborhoods"
-        )
+        if sub.masks[core_f[x]] != cores.image_of(m.source.masks[x]):
+            raise InternalError("image neighborhoods differ from mapped neighborhoods")
     return sub, cores
 
 
 def _is_structure_isomorphism(a: Space, b: Space, f: Sequence[int]) -> bool:
     if a.n != b.n or sorted(f) != list(range(a.n)):
         return False
-    for x in range(a.n):
-        img = 0
-        for y in _mask_members(a.masks[x]):
-            img |= 1 << f[y]
-        if img != b.masks[f[x]]:
-            return False
-    return True
+    m = SpaceMap(a, b, tuple(f))
+    return all(m.image_of(a.masks[x]) == b.masks[f[x]] for x in range(a.n))
 
 
 def find_homeomorphism(
@@ -207,7 +190,8 @@ def find_homeomorphism(
 
     if not extend(0):
         return None
-    assert _is_structure_isomorphism(a, b, f)
+    if not _is_structure_isomorphism(a, b, f):
+        raise InternalError("search returned a map that is not a homeomorphism")
     return SpaceMap(a, b, tuple(f))
 
 
@@ -266,8 +250,8 @@ def _validate_glue(x: Space, y: Space, g: GlueData) -> list[dict[int, int]]:
         m = dict(entries)
         if len(m) != len(entries):
             raise InvalidGlueData(f"local map {i} repeats a source point")
-        src_members = set(_mask_members(src_sets[i]))
-        dst_members = set(_mask_members(dst_sets[i]))
+        src_members = set(iter_bits(src_sets[i]))
+        dst_members = set(iter_bits(dst_sets[i]))
         if set(m) != src_members:
             raise InvalidGlueData(
                 f"local map {i} is not defined on exactly the members of its neighborhood"
@@ -299,12 +283,12 @@ def glue(x: Space, y: Space, g: GlueData) -> SpaceMap:
             overlap = x.masks[reps[i]] & x.masks[reps[j]]
             if not overlap:
                 continue
-            for p in _mask_members(overlap):
+            for p in iter_bits(overlap):
                 if locals_[i][p] != locals_[j][p]:
                     raise NotWellDefined(p)
             img_i = 0
             img_j = 0
-            for p in _mask_members(overlap):
+            for p in iter_bits(overlap):
                 img_i |= 1 << locals_[i][p]
                 img_j |= 1 << locals_[j][p]
             if img_i != img_j:
@@ -312,7 +296,7 @@ def glue(x: Space, y: Space, g: GlueData) -> SpaceMap:
 
     f = [-1] * x.n
     for i, r in enumerate(reps):
-        for p in _mask_members(x.masks[r]):
+        for p in iter_bits(x.masks[r]):
             f[p] = locals_[i][p]
     if -1 in f:
         raise InvalidGlueData(f"point {f.index(-1)} is covered by no listed neighborhood")

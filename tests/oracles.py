@@ -119,3 +119,65 @@ def least_saturated_open_superset(space: Space, class_masks: list[int], c: int) 
             continue
         result &= s
     return result
+
+
+def _distinct(space: Space) -> list[int]:
+    return list(dict.fromkeys(space.masks))
+
+
+def is_irreducible_by_definition(space: Space, x: int) -> bool:
+    """No neighborhood is properly contained in S(x)."""
+    d = space.masks[x]
+    return all(m == d or m & ~d for m in _distinct(space))
+
+
+def is_basic_by_definition(space: Space, x: int) -> bool:
+    """Both clauses of "basic", checked against every pair of neighborhoods.
+
+    (a) whenever S(x) sits inside some e alongside an f, it sits inside
+    f; (b) S(x) is disjoint from every neighborhood it is not inside.
+    """
+    d = space.masks[x]
+    distinct = _distinct(space)
+    for e in distinct:
+        if d & ~e == 0:
+            for f in distinct:
+                if f & ~e == 0 and d & ~f:
+                    return False
+        elif d & e:
+            return False
+    return True
+
+
+def maximal_masks_by_definition(space: Space) -> list[int]:
+    """Inclusion-maximal neighborhoods, in first-owner order."""
+    distinct = _distinct(space)
+    return [
+        d for d in distinct if not any(e != d and d & ~e == 0 for e in distinct)
+    ]
+
+
+def index_by_definition(space: Space) -> int:
+    """Number of distinct neighborhoods that are basic."""
+    return len({space.masks[x] for x in range(space.n) if is_basic_by_definition(space, x)})
+
+
+def is_hausdorff_by_definition(space: Space) -> bool:
+    """The neighborhoods of any two distinct points are disjoint."""
+    return not any(
+        space.masks[x] & space.masks[y]
+        for x, y in combinations(range(space.n), 2)
+    )
+
+
+def continuous_by_preimage(src: Space, dst: Space, f: tuple[int, ...]) -> bool:
+    """Every preimage of a target neighborhood is open in the source."""
+    opens = set(open_masks_by_definition(src))
+    for y in range(dst.n):
+        pre = 0
+        for x in range(src.n):
+            if dst.masks[y] >> f[x] & 1:
+                pre |= 1 << x
+        if pre not in opens:
+            return False
+    return True

@@ -1,8 +1,12 @@
 import io
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import finitetop
 from finitetop.cli import (
     SpaceDocument,
     parse,
@@ -13,7 +17,7 @@ from finitetop.cli import (
     to_dot,
 )
 from finitetop.core import from_neighborhoods
-from finitetop.errors import ParseError, ValidationError
+from finitetop.errors import InternalError, ParseError, ValidationError
 from finitetop.generators import chain, discrete
 
 SIERP_TEXT = "space S\npoints a b\nnbhd a: a\nnbhd b: a b\n"
@@ -255,3 +259,27 @@ class TestRun:
         big = serialize(space_to_document(discrete(70), "big"))
         f = write(tmp_path, "big.space", big)
         assert run(["product", f, f]) == 2
+
+    def test_internal_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def broken(space):
+            raise InternalError("index exceeds min")
+
+        monkeypatch.setattr("finitetop.cli.report", broken)
+        f = write(tmp_path, "s.space", SIERP_TEXT)
+        assert run(["report", f]) == 3
+        assert "internal error:" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(finitetop.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "finitetop", "census", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0
+    assert "classes: 9" in done.stdout

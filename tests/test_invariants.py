@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given
 
+from finitetop.census import enumerate_spaces
 from finitetop.core import from_neighborhoods
 from finitetop.errors import EmptySpace
 from finitetop.generators import blocks, chain, discrete, divisor, indiscrete
@@ -13,7 +15,15 @@ from finitetop.invariants import (
     report,
 )
 
-from oracles import min_cover_bruteforce
+from oracles import (
+    index_by_definition,
+    is_basic_by_definition,
+    is_hausdorff_by_definition,
+    is_irreducible_by_definition,
+    maximal_masks_by_definition,
+    min_cover_bruteforce,
+)
+from strategies import nonempty_spaces
 
 # two incomparable points over a shared bottom
 VEE = from_neighborhoods(3, [{0}, {0, 1}, {0, 2}])
@@ -193,3 +203,37 @@ class TestReport:
             for m in s.masks:
                 inside = sum(1 for b in basics if b & ~m == 0)
                 assert inside <= 1
+
+
+def _least_ids(space, pred):
+    """Least point of each class of equal neighborhoods whose member satisfies pred."""
+    firsts = {}
+    for x, m in enumerate(space.masks):
+        firsts.setdefault(m, x)
+    return {x for x in firsts.values() if pred(space, x)}
+
+
+def _assert_matches_definitions(s):
+    for x in range(s.n):
+        assert is_irreducible(s, x) == is_irreducible_by_definition(s, x)
+        assert is_basic(s, x) == is_basic_by_definition(s, x)
+    maximal = maximal_masks_by_definition(s)
+    count, witness = min_of(s)
+    assert count == len(maximal)
+    assert [w.bits for w in witness] == maximal
+    assert index_of(s) == index_by_definition(s)
+    assert is_hausdorff(s) == is_hausdorff_by_definition(s)
+    rep = report(s)
+    assert set(rep.basic_points) == _least_ids(s, is_basic_by_definition)
+    assert set(rep.irreducible_points) == _least_ids(s, is_irreducible_by_definition)
+
+
+class TestAgainstDefinitions:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_space_on_n_points(self, n):
+        for s in enumerate_spaces(n):
+            _assert_matches_definitions(s)
+
+    @given(nonempty_spaces(max_classes=6, max_class_size=3))
+    def test_random_spaces(self, s):
+        _assert_matches_definitions(s)

@@ -33,6 +33,7 @@ from finitetop.invariants import (
 from finitetop.maps import SpaceMap, find_homeomorphism, is_continuous
 
 from oracles import (
+    continuous_by_preimage,
     homeomorphic_bruteforce,
     min_cover_bruteforce,
     open_masks_by_definition,
@@ -203,8 +204,7 @@ def test_hausdorff_iff_discrete(s):
 @given(space_pairs_with_map())
 def test_continuity_criteria_agree_on_arbitrary_maps(triple):
     src, dst, f = triple
-    # is_continuous asserts internally that both criteria coincide
-    is_continuous(SpaceMap(src, dst, f))
+    assert is_continuous(SpaceMap(src, dst, f)) == continuous_by_preimage(src, dst, f)
 
 
 @settings(max_examples=30)
