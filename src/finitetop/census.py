@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .core import PointSet, Space, canonical_form
+from .core import Space, canonical_form
 from .errors import InternalError, TooLarge
 from .invariants import index_of, min_of
 from .maps import find_homeomorphism
@@ -32,7 +32,7 @@ def enumerate_spaces(n: int):
     if n > CENSUS_CAP:
         raise TooLarge(n, CENSUS_CAP)
     if n == 0:
-        yield Space(0, ())
+        yield Space._of(0, ())
         return
     choices = [
         [m for m in range(1 << n) if m >> x & 1] for x in range(n)
@@ -51,7 +51,7 @@ def enumerate_spaces(n: int):
             if not ok:
                 break
         if ok:
-            yield Space(n, tuple(PointSet(n, m) for m in masks))
+            yield Space._of(n, masks)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Sequence
 
+from ._refine import iter_bits
 from .census import CENSUS_CAP, census
 from .constructions import Partition, disjoint_sum, product, quotient, subspace, t0_quotient
 from .core import PointSet, Space, from_neighborhoods
@@ -43,12 +44,11 @@ from .errors import (
     FinitetopError,
     InternalError,
     NotWellDefined,
-    OverlapMismatch,
     ParseError,
     ResultNotHomeomorphism,
     ValidationError,
 )
-from .generators import GeneratorSpec
+from .generators import GENERATOR_KINDS, GeneratorSpec
 from .invariants import InvariantReport, _classify, report
 from .maps import GlueData, SpaceMap, find_homeomorphism, glue, is_continuous
 
@@ -67,9 +67,7 @@ class SpaceDocument:
     def to_space(self) -> Space:
         n = len(self.points)
         index = {lab: i for i, lab in enumerate(self.points)}
-        nbhd = []
-        for members in self.neighborhoods:
-            nbhd.append(PointSet.from_points(n, [index[m] for m in members]))
+        nbhd = [[index[m] for m in members] for members in self.neighborhoods]
         try:
             return from_neighborhoods(n, nbhd, self.points)
         except FinitetopError as err:
@@ -94,9 +92,7 @@ def space_to_document(space: Space, name: str) -> SpaceDocument:
     labels = space.labels if space.labels is not None else tuple(
         f"p{i}" for i in range(space.n)
     )
-    nbhds = tuple(
-        tuple(labels[m] for m in ps.members()) for ps in space.nbhd
-    )
+    nbhds = tuple(tuple(labels[y] for y in iter_bits(m)) for m in space.masks)
     return SpaceDocument(name, labels, nbhds)
 
 
@@ -225,18 +221,18 @@ def to_dot(space: Space) -> str:
     """
     lines = ["digraph space {", "  rankdir=BT;"]
     basic = _classify(space).basic
+    masks = space.masks
     for x in range(space.n):
-        attrs = [f'label="{space.label_of(x)} ({len(space.nbhd[x])})"']
+        attrs = [f'label="{space.label_of(x)} ({masks[x].bit_count()})"']
         if basic >> x & 1:
             attrs.append("peripheries=2")
         lines.append(f"  p{x} [{', '.join(attrs)}];")
-    masks = space.masks
     for x in range(space.n):
-        for y in space.nbhd[x]:
+        for y in iter_bits(masks[x]):
             if y == x:
                 continue
             keep = True
-            for z in space.nbhd[x]:
+            for z in iter_bits(masks[x]):
                 if z in (x, y):
                     continue
                 if masks[z] >> y & 1 and masks[z] not in (masks[x], masks[y]):
@@ -412,7 +408,7 @@ def _cmd_glue(args: argparse.Namespace) -> int:
     data = parse_glue(_read(args.data), da, db)
     try:
         h = glue(a, b, data)
-    except (NotWellDefined, OverlapMismatch, ResultNotHomeomorphism) as err:
+    except (NotWellDefined, ResultNotHomeomorphism) as err:
         print(f"rejected: {type(err).__name__}: {err}")
         return 1
     for x, y in enumerate(h.f):
@@ -426,31 +422,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _generator_spec(args: argparse.Namespace) -> GeneratorSpec:
-    kind = args.kind
-    params = args.params
-
-    def want(count: int) -> None:
-        if len(params) != count:
-            raise ValidationError(
-                f"generator {kind!r} takes {count} parameter(s), got {len(params)}"
-            )
-
-    if kind == "chain":
-        want(1)
-        return GeneratorSpec(kind, length=params[0])
-    if kind == "blocks":
-        want(2)
-        return GeneratorSpec(kind, block_count=params[0], block_size=params[1])
-    if kind == "divisor":
-        want(1)
-        return GeneratorSpec(kind, bound=params[0], with_top=args.with_top)
-    if kind in ("discrete", "indiscrete"):
-        want(1)
-        return GeneratorSpec(kind, size=params[0])
-    if kind == "random":
-        want(1)
-        return GeneratorSpec(kind, size=params[0], seed=args.seed, density=args.density)
-    raise ValidationError(f"unknown generator kind {kind!r}")
+    kind, params = args.kind, args.params
+    if kind not in GENERATOR_KINDS:
+        raise ValidationError(f"unknown generator kind {kind!r}")
+    row = GENERATOR_KINDS[kind]
+    if len(params) != len(row.params):
+        raise ValidationError(
+            f"generator {kind!r} takes {len(row.params)} parameter(s), got {len(params)}"
+        )
+    fields = dict(zip(row.params, params))
+    fields.update((f, getattr(args, f)) for f in row.flags)
+    return GeneratorSpec(kind, **fields)
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
@@ -460,7 +442,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     print(f"classes: {row.class_count}")
     for i, cls in enumerate(row.per_class, start=1):
         nbhd = "|".join(
-            ",".join(str(p) for p in ps.members()) for ps in cls.representative.nbhd
+            ",".join(str(p) for p in iter_bits(m)) for m in cls.representative.masks
         )
         print(
             f"class {i}: size {cls.size} min {cls.min_x} "
@@ -542,10 +524,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_glue)
 
     p = sub.add_parser("gen", help="generate a stock space")
-    p.add_argument(
-        "kind",
-        choices=["chain", "blocks", "divisor", "discrete", "indiscrete", "random"],
-    )
+    p.add_argument("kind", choices=list(GENERATOR_KINDS))
     p.add_argument("params", nargs="*", type=int)
     p.add_argument("--with-top", action="store_true", dest="with_top")
     p.add_argument("--seed", type=int, default=0)
@@ -579,6 +558,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        # the reader went away: not an input error; main exits quietly
+        raise
     except InternalError as err:
         traceback.print_exc()
         print(f"internal error: {err}", file=sys.stderr)

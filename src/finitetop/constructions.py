@@ -7,7 +7,7 @@ from functools import reduce
 from typing import Iterable, Sequence
 
 from ._refine import iter_bits
-from .core import PointSet, Space, from_neighborhoods, is_open
+from .core import PointSet, Space, is_open
 from .errors import InternalError, PartitionMismatch, SizeOverflow
 
 #: Default cap on result carriers; keeps bit-vector work fast at desk scale.
@@ -83,26 +83,22 @@ def product(a: Space, b: Space, bound: int = DEFAULT_CARRIER_BOUND) -> Space:
     """Product space on flat ids x * b.n + y (left factor most significant).
 
     The minimal neighborhood of (x, y) is the set of pairs (u, v) with u
-    in nbhd_a(x) and v in nbhd_b(y).
+    in nbhd_a(x) and v in nbhd_b(y).  Labels are ``la.lb``, dropped when
+    two of them coincide.
     """
     n = a.n * b.n
     if n > bound:
         raise SizeOverflow(n, bound)
-    nb = []
-    for x in range(a.n):
-        ma = a.masks[x]
-        for y in range(b.n):
-            mb = b.masks[y]
-            m = 0
-            for u in iter_bits(ma):
-                m |= mb << (u * b.n)
-            nb.append(PointSet(n, m))
-    labels: tuple[str, ...] | None = None
+    # spread[x] has bit u * b.n for each u in nbhd_a(x); a mask of b fits in
+    # b.n bits, so multiplying places one copy per u without carries.
+    spread = [sum(1 << (u * b.n) for u in iter_bits(ma)) for ma in a.masks]
+    masks = tuple(s * mb for s in spread for mb in b.masks)
+    labels = None
     if a.labels is not None and b.labels is not None:
-        labels = tuple(
-            f"{la}.{lb}" for la in a.labels for lb in b.labels
+        labels = _distinct_or_none(
+            tuple(f"{la}.{lb}" for la in a.labels for lb in b.labels)
         )
-    return Space(n, tuple(nb), labels)
+    return Space._of(n, masks, labels)
 
 
 def product_n(spaces: Sequence[Space], bound: int = DEFAULT_CARRIER_BOUND) -> Space:
@@ -129,11 +125,11 @@ def subspace(x: Space, a: PointSet) -> Space:
     members = a.members()
     index = {p: i for i, p in enumerate(members)}
     n = len(members)
-    nb = [PointSet(n, _compress(x.masks[p] & a.bits, index)) for p in members]
+    masks = tuple(_compress(x.masks[p] & a.bits, index) for p in members)
     labels = None
     if x.labels is not None:
         labels = tuple(x.labels[p] for p in members)
-    return from_neighborhoods(n, nb, labels)
+    return Space._of(n, masks, labels)
 
 
 def quotient(x: Space, p: Partition) -> Space:
@@ -145,11 +141,13 @@ def quotient(x: Space, p: Partition) -> Space:
     until stable.  The stable set W is the least saturated open superset
     of c, so its classes form the minimal open neighborhood of [c].  The
     openness and saturation of each preimage are re-verified before the
-    quotient is returned.
+    quotient is returned.  Labels join the class members' labels with
+    ``+``, dropped when two of them coincide.
     """
     if p.carrier_size != x.n:
         raise PartitionMismatch(x.n, p.carrier_size)
     cmasks = p.class_masks()
+    class_of = p.class_of
     nb = []
     for c in range(p.k):
         w = cmasks[c]
@@ -157,27 +155,24 @@ def quotient(x: Space, p: Partition) -> Space:
             hull = 0
             for y in iter_bits(w):
                 hull |= x.masks[y]
-            sat = 0
-            for d in range(p.k):
-                if cmasks[d] & hull:
-                    sat |= cmasks[d]
-            if sat == w:
+            if hull == w:
                 break
-            w = sat
+            for y in iter_bits(hull & ~w):
+                hull |= cmasks[class_of[y]]
+            w = hull
         if not is_open(x, PointSet(x.n, w)) or w & cmasks[c] != cmasks[c]:
             raise InternalError("saturation fixpoint produced a non-open preimage")
         cls_bits = 0
-        for d in range(p.k):
-            if cmasks[d] & ~w == 0:
-                cls_bits |= 1 << d
-        nb.append(PointSet(p.k, cls_bits))
+        for y in iter_bits(w):
+            cls_bits |= 1 << class_of[y]
+        nb.append(cls_bits)
     labels = None
     if x.labels is not None:
         grouped: list[list[str]] = [[] for _ in range(p.k)]
-        for pt, c in enumerate(p.class_of):
+        for pt, c in enumerate(class_of):
             grouped[c].append(x.labels[pt])
-        labels = tuple("+".join(g) for g in grouped)
-    return from_neighborhoods(p.k, nb, labels)
+        labels = _distinct_or_none(tuple("+".join(g) for g in grouped))
+    return Space._of(p.k, tuple(nb), labels)
 
 
 def t0_quotient(x: Space) -> tuple[Space, Partition]:
@@ -200,15 +195,20 @@ def t0_quotient(x: Space) -> tuple[Space, Partition]:
 
 
 def disjoint_sum(a: Space, b: Space, bound: int = DEFAULT_CARRIER_BOUND) -> Space:
-    """Disjoint union; points of ``b`` are shifted up by a.n."""
+    """Disjoint union; points of ``b`` are shifted up by a.n.
+
+    Labels are kept unless a label of ``a`` also labels a point of ``b``.
+    """
     n = a.n + b.n
     if n > bound:
         raise SizeOverflow(n, bound)
-    nb = [PointSet(n, m) for m in a.masks]
-    nb.extend(PointSet(n, m << a.n) for m in b.masks)
+    masks = a.masks + tuple(m << a.n for m in b.masks)
     labels = None
     if a.labels is not None and b.labels is not None:
-        merged = a.labels + b.labels
-        if len(set(merged)) == n:
-            labels = merged
-    return Space(n, tuple(nb), labels)
+        labels = _distinct_or_none(a.labels + b.labels)
+    return Space._of(n, masks, labels)
+
+
+def _distinct_or_none(labels: tuple[str, ...]) -> tuple[str, ...] | None:
+    """The merged labels of a construction, or None when two coincide."""
+    return labels if len(set(labels)) == len(labels) else None

@@ -1,9 +1,10 @@
 """Finite Alexandroff spaces stored as minimal-neighborhood arrays.
 
-A space on ``n`` points keeps one bit-vector per point: ``nbhd[x]`` is the
-smallest open set containing ``x``.  That family is a basis for the whole
-topology, so nothing else is materialized; the full open-set lattice is
-only enumerated on demand and behind an explicit limit.
+A space on ``n`` points keeps one bit-vector per point: ``masks[x]`` is
+the smallest open set containing ``x``.  That family is a basis for the
+whole topology, so nothing else is materialized; the full open-set
+lattice is only enumerated on demand and behind an explicit limit.
+Spaces are validated where they enter from outside (see :class:`Space`).
 
 Convention: ``y in nbhd[x]`` is read as ``y <= x`` in the specialization
 preorder, i.e. neighborhoods are down-sets.  Both conventions appear in
@@ -143,48 +144,52 @@ class SubsetFamily:
 class Space:
     """A finite Alexandroff space.
 
-    ``nbhd[x]`` is the minimal open neighborhood of point ``x``.  Every
+    ``masks[x]`` is the minimal open neighborhood of point ``x`` as a
+    bitmask; ``nbhd`` is the same array as :class:`PointSet` views.  Every
     instance satisfies ``x in nbhd[x]`` and, for each ``y in nbhd[x]``,
-    ``nbhd[y] <= nbhd[x]``; construction rejects anything else.  Instances
-    are immutable, hashable, and safe to share between threads.
+    ``nbhd[y] <= nbhd[x]``.  ``Space(...)`` and :func:`from_neighborhoods`
+    check this and the labels; code whose output is valid by theorem
+    builds through the unchecked ``Space._of``.  Instances are immutable,
+    hashable, and safe to share between threads.
     """
 
     n: int
-    nbhd: tuple[PointSet, ...]
+    masks: tuple[int, ...]
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"negative point count {self.n}")
-        if len(self.nbhd) != self.n:
-            raise ValueError(f"expected {self.n} neighborhoods, got {len(self.nbhd)}")
-        masks = []
-        for x, ps in enumerate(self.nbhd):
-            if not isinstance(ps, PointSet):
-                raise TypeError(f"nbhd[{x}] is not a PointSet")
-            if ps.size != self.n:
-                raise ValueError(f"nbhd[{x}] has carrier {ps.size}, expected {self.n}")
-            masks.append(ps.bits)
-        for x in range(self.n):
+        n = self.n
+        if n < 0:
+            raise ValueError(f"negative point count {n}")
+        masks = tuple(self.masks)
+        object.__setattr__(self, "masks", masks)
+        if len(masks) != n:
+            raise ValueError(f"expected {n} neighborhoods, got {len(masks)}")
+        full = (1 << n) - 1
+        for x, m in enumerate(masks):
+            if not 0 <= m <= full:
+                raise ValueError(f"masks[{x}] = 0x{m:x} does not fit a carrier of size {n}")
+        for x in range(n):
             if not masks[x] >> x & 1:
                 raise ReflexivityViolation(x)
-        for x in range(self.n):
+        for x in range(n):
             mx = masks[x]
             for y in iter_bits(mx):
                 if masks[y] & ~mx:
                     raise MinimalityViolation(x, y)
-        if self.labels is not None:
-            if len(self.labels) != self.n:
-                raise ValueError(
-                    f"expected {self.n} labels, got {len(self.labels)}"
-                )
-            if len(set(self.labels)) != self.n:
-                raise ValueError("labels are not unique")
+        object.__setattr__(self, "labels", _checked_labels(n, self.labels))
+
+    @classmethod
+    def _of(cls, n: int, masks: tuple[int, ...], labels=None) -> "Space":
+        """A space from fields known to be valid; skips ``__post_init__``."""
+        space = object.__new__(cls)
+        space.__dict__.update(n=n, masks=masks, labels=labels)
+        return space
 
     @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Neighborhoods as raw bitmasks; the workhorse representation."""
-        return tuple(ps.bits for ps in self.nbhd)
+    def nbhd(self) -> tuple[PointSet, ...]:
+        """Neighborhoods as :class:`PointSet` views, built on first use."""
+        return tuple(PointSet(self.n, m) for m in self.masks)
 
     @cached_property
     def distinct_masks(self) -> tuple[int, ...]:
@@ -202,28 +207,41 @@ class Space:
         return self.labels[x] if self.labels is not None else f"p{x}"
 
 
-def _as_pointset(size: int, obj: PointSet | Iterable[int]) -> PointSet:
+def _checked_labels(n: int, labels: Sequence[str] | None) -> tuple[str, ...] | None:
+    if labels is None:
+        return None
+    labels = tuple(labels)
+    if len(labels) != n:
+        raise ValueError(f"expected {n} labels, got {len(labels)}")
+    if len(set(labels)) != n:
+        raise ValueError("labels are not unique")
+    return labels
+
+
+def _as_mask(size: int, obj: int | PointSet | Iterable[int]) -> int:
+    if isinstance(obj, int):
+        return obj
     if isinstance(obj, PointSet):
         if obj.size != size:
             raise ValueError(f"carrier sizes differ: {obj.size} vs {size}")
-        return obj
-    return PointSet.from_points(size, obj)
+        return obj.bits
+    return PointSet.from_points(size, obj).bits
 
 
 def from_neighborhoods(
     n: int,
-    nbhd: Sequence[PointSet | Iterable[int]],
+    nbhd: Sequence[int | PointSet | Iterable[int]],
     labels: Sequence[str] | None = None,
 ) -> Space:
     """Build a validated space from its minimal-neighborhood array.
 
-    Raises ReflexivityViolation or MinimalityViolation with the offending
-    point(s) when the array is not a legal neighborhood basis.
+    Each neighborhood is a bitmask, a :class:`PointSet` or an iterable of
+    points.  Raises ReflexivityViolation or MinimalityViolation with the
+    offending point(s) when the array is not a legal neighborhood basis.
     """
     if len(nbhd) != n:
         raise ValueError(f"expected {n} neighborhoods, got {len(nbhd)}")
-    sets = tuple(_as_pointset(n, s) for s in nbhd)
-    return Space(n, sets, tuple(labels) if labels is not None else None)
+    return Space(n, tuple(_as_mask(n, s) for s in nbhd), labels)
 
 
 def from_basis(family: SubsetFamily) -> Space:
@@ -246,8 +264,8 @@ def from_basis(family: SubsetFamily) -> Space:
             inter &= b
         if inter not in containing:
             raise NoMinimalSet(x)
-        nb.append(PointSet(n, inter))
-    return Space(n, tuple(nb))
+        nb.append(inter)
+    return Space._of(n, tuple(nb))
 
 
 def from_open_family(family: SubsetFamily) -> Space:
@@ -285,8 +303,8 @@ def from_open_family(family: SubsetFamily) -> Space:
         for b in bits:
             if b >> x & 1:
                 inter &= b
-        nb.append(PointSet(n, inter))
-    return Space(n, tuple(nb))
+        nb.append(inter)
+    return Space._of(n, tuple(nb))
 
 
 def from_preorder(
@@ -315,7 +333,7 @@ def from_preorder(
             if extra:
                 c = (extra & -extra).bit_length() - 1
                 raise NotTransitive(a, b, c)
-    return from_neighborhoods(n, [PointSet(n, d) for d in down], labels)
+    return Space._of(n, tuple(down), _checked_labels(n, labels))
 
 
 def is_open(space: Space, s: PointSet) -> bool:
@@ -360,7 +378,7 @@ def relabel(space: Space, perm: Sequence[int]) -> Space:
         for x, lab in enumerate(space.labels):
             moved[perm[x]] = lab
         labels = tuple(moved)
-    return Space(n, tuple(PointSet(n, b) for b in nb), labels)
+    return Space._of(n, tuple(nb), labels)
 
 
 def canonical_form(space: Space) -> Space:
@@ -377,5 +395,4 @@ def canonical_form(space: Space) -> Space:
     perm = [0] * space.n
     for new, old in enumerate(order):
         perm[old] = new
-    recoded = relabel(space, perm)
-    return Space(recoded.n, recoded.nbhd, None)
+    return Space._of(space.n, relabel(space, perm).masks)

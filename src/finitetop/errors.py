@@ -136,18 +136,6 @@ class InvalidGlueData(FinitetopError):
     """Glue input violates its structural requirements."""
 
 
-class OverlapMismatch(FinitetopError):
-    """Two local maps send an overlap of neighborhoods to different sets."""
-
-    def __init__(self, rep1: int, rep2: int):
-        self.rep1 = rep1
-        self.rep2 = rep2
-        super().__init__(
-            f"local maps at representatives {rep1} and {rep2} disagree "
-            f"setwise on the overlap of their neighborhoods"
-        )
-
-
 class NotWellDefined(FinitetopError):
     """Two local maps disagree at a shared point, so no single map exists."""
 

@@ -12,27 +12,24 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable
 
-from .core import PointSet, Space, from_neighborhoods, from_preorder
+from .core import Space, from_preorder
 
 
 def chain(k: int) -> Space:
     """Totally ordered space: the neighborhood of i is {0, ..., i}."""
     if k < 1:
         raise ValueError("chain needs at least one point")
-    return from_neighborhoods(k, [PointSet(k, (1 << (i + 1)) - 1) for i in range(k)])
+    return Space._of(k, tuple((1 << (i + 1)) - 1 for i in range(k)))
 
 
 def blocks(b: int, m: int) -> Space:
     """``b`` disjoint groups of ``m`` points, each group indiscrete inside."""
     if b < 1 or m < 1:
         raise ValueError("blocks needs positive block count and size")
-    n = b * m
-    nb = []
-    for i in range(b):
-        group = ((1 << m) - 1) << (i * m)
-        nb.extend(PointSet(n, group) for _ in range(m))
-    return from_neighborhoods(n, nb)
+    group = (1 << m) - 1
+    return Space._of(b * m, tuple(group << (i * m) for i in range(b) for _ in range(m)))
 
 
 def divisor(bound: int, with_top: bool = False) -> Space:
@@ -51,24 +48,24 @@ def divisor(bound: int, with_top: bool = False) -> Space:
         for d in range(1, m + 1):
             if m % d == 0:
                 bits |= 1 << (d - 1)
-        nb.append(PointSet(n, bits))
+        nb.append(bits)
     labels = [str(m) for m in range(1, bound + 1)]
     if with_top:
-        nb.append(PointSet.full(n))
+        nb.append((1 << n) - 1)
         labels.append("w")
-    return from_neighborhoods(n, nb, labels)
+    return Space._of(n, tuple(nb), tuple(labels))
 
 
 def discrete(n: int) -> Space:
     if n < 0:
         raise ValueError("negative size")
-    return from_neighborhoods(n, [PointSet(n, 1 << x) for x in range(n)])
+    return Space._of(n, tuple(1 << x for x in range(n)))
 
 
 def indiscrete(n: int) -> Space:
     if n < 0:
         raise ValueError("negative size")
-    return from_neighborhoods(n, [PointSet.full(n)] * n)
+    return Space._of(n, ((1 << n) - 1,) * n)
 
 
 def random_space(n: int, seed: int, density: float = 0.5) -> Space:
@@ -121,29 +118,48 @@ class GeneratorSpec:
     density: float = 0.5
 
     def build(self) -> Space:
-        if self.kind == "chain":
-            return chain(self.length)
-        if self.kind == "blocks":
-            return blocks(self.block_count, self.block_size)
-        if self.kind == "divisor":
-            return divisor(self.bound, self.with_top)
-        if self.kind == "discrete":
-            return discrete(self.size)
-        if self.kind == "indiscrete":
-            return indiscrete(self.size)
-        if self.kind == "random":
-            return random_space(self.size, self.seed, self.density)
-        raise ValueError(f"unknown generator kind {self.kind!r}")
+        kind = _kind(self.kind)
+        return kind.build(*(getattr(self, f) for f in kind.params + kind.flags))
 
     def name(self) -> str:
-        if self.kind == "chain":
-            return f"chain-{self.length}"
-        if self.kind == "blocks":
-            return f"blocks-{self.block_count}x{self.block_size}"
-        if self.kind == "divisor":
-            return f"divisor-{self.bound}-top" if self.with_top else f"divisor-{self.bound}"
-        if self.kind in ("discrete", "indiscrete"):
-            return f"{self.kind}-{self.size}"
-        if self.kind == "random":
-            return f"random-{self.size}-{self.seed}-{self.density}"
-        raise ValueError(f"unknown generator kind {self.kind!r}")
+        return _kind(self.kind).name(self)
+
+
+@dataclass(frozen=True)
+class GeneratorKind:
+    """One row of :data:`GENERATOR_KINDS`.
+
+    ``build`` takes the ``params`` fields, then the ``flags`` fields.  On
+    the command line ``params`` are positional integers, in order, and
+    ``flags`` are the options of the same name.
+    """
+
+    build: Callable[..., Space]
+    params: tuple[str, ...]
+    flags: tuple[str, ...]
+    name: Callable[[GeneratorSpec], str]
+
+
+GENERATOR_KINDS = {
+    "chain": GeneratorKind(chain, ("length",), (), lambda s: f"chain-{s.length}"),
+    "blocks": GeneratorKind(
+        blocks, ("block_count", "block_size"), (),
+        lambda s: f"blocks-{s.block_count}x{s.block_size}",
+    ),
+    "divisor": GeneratorKind(
+        divisor, ("bound",), ("with_top",),
+        lambda s: f"divisor-{s.bound}-top" if s.with_top else f"divisor-{s.bound}",
+    ),
+    "discrete": GeneratorKind(discrete, ("size",), (), lambda s: f"discrete-{s.size}"),
+    "indiscrete": GeneratorKind(indiscrete, ("size",), (), lambda s: f"indiscrete-{s.size}"),
+    "random": GeneratorKind(
+        random_space, ("size",), ("seed", "density"),
+        lambda s: f"random-{s.size}-{s.seed}-{s.density}",
+    ),
+}
+
+
+def _kind(kind: str) -> GeneratorKind:
+    if kind not in GENERATOR_KINDS:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    return GENERATOR_KINDS[kind]

@@ -21,7 +21,6 @@ from .errors import (
     NotContinuous,
     NotOpen,
     NotWellDefined,
-    OverlapMismatch,
     ResultNotHomeomorphism,
     SearchBudgetExceeded,
 )
@@ -267,11 +266,10 @@ def _validate_glue(x: Space, y: Space, g: GlueData) -> list[dict[int, int]]:
 def glue(x: Space, y: Space, g: GlueData) -> SpaceMap:
     """Assemble a homeomorphism from a neighborhood bijection and local maps.
 
-    Overlapping neighborhoods must agree where they meet: pointwise
-    agreement is what makes the assembled map well defined, and the
-    overlap images must coincide setwise.  Pointwise conflicts are
-    reported first (NotWellDefined with the offending point), setwise
-    ones as OverlapMismatch.  The assembled map is then verified to be a
+    Overlapping neighborhoods must agree pointwise where they meet, which
+    is what makes the assembled map well defined (and makes the overlap
+    images coincide setwise); a conflict raises NotWellDefined with the
+    offending point.  The assembled map is then verified to be a
     homeomorphism outright; ResultNotHomeomorphism is raised otherwise,
     so a returned map is correct unconditionally.
     """
@@ -286,13 +284,6 @@ def glue(x: Space, y: Space, g: GlueData) -> SpaceMap:
             for p in iter_bits(overlap):
                 if locals_[i][p] != locals_[j][p]:
                     raise NotWellDefined(p)
-            img_i = 0
-            img_j = 0
-            for p in iter_bits(overlap):
-                img_i |= 1 << locals_[i][p]
-                img_j |= 1 << locals_[j][p]
-            if img_i != img_j:
-                raise OverlapMismatch(reps[i], reps[j])
 
     f = [-1] * x.n
     for i, r in enumerate(reps):

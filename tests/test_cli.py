@@ -183,6 +183,23 @@ class TestRun:
             reparsed.to_space()
             assert serialize(reparsed) == out
 
+    def test_colliding_labels_fall_back(self, tmp_path, capsys):
+        xy = write(tmp_path, "xy.space", "space X\npoints x x.y\nnbhd x: x\nnbhd x.y: x x.y\n")
+        yz = write(tmp_path, "yz.space", "space Y\npoints y.z z\nnbhd y.z: y.z\nnbhd z: z\n")
+        q = write(
+            tmp_path, "q.space", "space Q\npoints a b a+b\nnbhd a: a\nnbhd b: b\nnbhd a+b: a b a+b\n"
+        )
+        for argv, points in (
+            (["product", xy, yz], ("p0", "p1", "p2", "p3")),
+            (["quotient", q, "--classes", "a,b"], ("p0", "p1")),
+        ):
+            assert run(argv) == 0, argv
+            out = capsys.readouterr().out
+            doc = parse(out)
+            assert doc.points == points
+            doc.to_space()
+            assert serialize(doc) == out
+
     def test_continuous_yes_no(self, tmp_path, capsys):
         c2 = write(tmp_path, "c2.space", serialize(space_to_document(chain(2), "c2")))
         assert run(["continuous", c2, c2, "--map", "p0:p0,p1:p1"]) == 0
@@ -283,3 +300,28 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0
     assert "classes: 9" in done.stdout
+
+
+def test_closed_pipe_exits_quietly():
+    src = str(Path(finitetop.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # Unbuffered text output drops the rest of a short write instead of
+    # failing, so keep stdout buffered: the ~850 kB document then outgrows
+    # the pipe and the writer is still blocked when the reader leaves.
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "finitetop", "gen", "chain", "600"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"space chain-600\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""

@@ -64,6 +64,14 @@ class TestProduct:
         b = from_neighborhoods(2, [{0}, {1}], labels=["x", "y"])
         assert product(a, b).labels == ("a.x", "a.y")
 
+    def test_colliding_labels_dropped(self):
+        # ("x", "y.z") and ("x.y", "z") both join to "x.y.z"
+        a = from_neighborhoods(2, [{0}, {0, 1}], labels=["x", "x.y"])
+        b = from_neighborhoods(2, [{0}, {1}], labels=["y.z", "z"])
+        p = product(a, b)
+        assert p.labels is None
+        assert p.masks == product(chain(2), discrete(2)).masks
+
 
 class TestProductN:
     def test_singleton_fold(self):
@@ -171,6 +179,12 @@ class TestQuotient:
         s = from_neighborhoods(2, [{0, 1}, {0, 1}], labels=["a", "b"])
         q = quotient(s, Partition.from_blocks(2, [[0, 1]]))
         assert q.labels == ("a+b",)
+
+    def test_colliding_labels_dropped(self):
+        s = from_neighborhoods(3, [{0}, {1}, {0, 1, 2}], labels=["a", "b", "a+b"])
+        q = quotient(s, Partition.from_blocks(3, [[0, 1], [2]]))
+        assert q.labels is None
+        assert q.masks == chain(2).masks
 
 
 class TestT0Quotient:

@@ -89,6 +89,22 @@ class TestFromNeighborhoods:
         with pytest.raises(ValueError):
             from_neighborhoods(2, [{0}, {1}], labels=["a", "a"])
 
+    def test_bitmasks_accepted(self):
+        s = from_neighborhoods(2, [1, PointSet(2, 3)])
+        assert s.masks == (1, 3)
+        assert s.nbhd == (PointSet(2, 1), PointSet(2, 3))
+
+    def test_public_constructor_validates(self):
+        assert Space(2, (1, 3), ("a", "b")).labels == ("a", "b")
+        with pytest.raises(ReflexivityViolation):
+            Space(2, (3, 1))
+        with pytest.raises(MinimalityViolation):
+            Space(3, (3, 6, 4))
+        with pytest.raises(ValueError):
+            Space(2, (1, 4))
+        with pytest.raises(ValueError):
+            Space(2, (1, 3), ("a",))
+
 
 class TestFromBasis:
     def test_chain_basis(self):
@@ -167,6 +183,14 @@ class TestFromPreorder:
         with pytest.raises(NotReflexive) as exc:
             from_preorder(2, [(0, 0), (0, 1)])
         assert exc.value.point == 1
+
+    def test_labels_checked(self):
+        pairs = [(0, 0), (1, 1), (0, 1)]
+        assert from_preorder(2, pairs, ["a", "b"]).labels == ("a", "b")
+        with pytest.raises(ValueError):
+            from_preorder(2, pairs, ["a", "a"])
+        with pytest.raises(ValueError):
+            from_preorder(2, pairs, ["a"])
 
     def test_roundtrip_with_extracted_relation(self):
         for s in (SIERP, chain(4), indiscrete(3), discrete(3)):
