@@ -34,12 +34,14 @@ import re
 import sys
 import traceback
 from dataclasses import dataclass
-from typing import Sequence
+from functools import reduce
+from operator import or_
+from typing import NoReturn, Sequence
 
 from ._refine import iter_bits
 from .census import CENSUS_CAP, census
 from .constructions import Partition, disjoint_sum, product, quotient, subspace, t0_quotient
-from .core import PointSet, Space, from_neighborhoods
+from .core import PointSet, Space
 from .errors import (
     FinitetopError,
     InternalError,
@@ -65,13 +67,43 @@ class SpaceDocument:
     neighborhoods: tuple[tuple[str, ...], ...]
 
     def to_space(self) -> Space:
+        """The validated space; every defect of the document is a ValidationError."""
         n = len(self.points)
-        index = {lab: i for i, lab in enumerate(self.points)}
-        nbhd = [[index[m] for m in members] for members in self.neighborhoods]
+        bit = {lab: 1 << i for i, lab in enumerate(self.points)}
+        if len(bit) != n:
+            raise ValidationError(f"duplicate point label {_first_repeat(self.points)!r}")
+        if len(self.neighborhoods) < n:
+            missing = self.points[len(self.neighborhoods)]
+            raise ValidationError(f"no neighborhood for point {missing!r}")
+        if len(self.neighborhoods) > n:
+            raise ValidationError(f"{len(self.neighborhoods)} neighborhoods for {n} points")
+        masks = []
+        for lab, members in zip(self.points, self.neighborhoods):
+            try:
+                mask = reduce(or_, map(bit.__getitem__, members), 0)
+            except KeyError as err:
+                raise ValidationError(
+                    f"undeclared point {err.args[0]!r} in the neighborhood of {lab!r}"
+                ) from None
+            if mask.bit_count() != len(members):  # some member is repeated
+                raise ValidationError(
+                    f"repeated member {_first_repeat(members)!r} "
+                    f"in the neighborhood of {lab!r}"
+                )
+            masks.append(mask)
         try:
-            return from_neighborhoods(n, nbhd, self.points)
+            return Space(n, tuple(masks), self.points)
         except FinitetopError as err:
             raise ValidationError(_relabel_error(err, self.points)) from err
+
+
+def _first_repeat(items: Sequence[str]) -> str | None:
+    seen: set[str] = set()
+    for item in items:
+        if item in seen:
+            return item
+        seen.add(item)
+    return None
 
 
 def _relabel_error(err: FinitetopError, labels: Sequence[str]) -> str:
@@ -114,59 +146,79 @@ def _tokens(line: str):
     return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
 
 
+def _fail(lineno: int, raw: str, i: int, message: str) -> NoReturn:
+    """Raise a ParseError at token ``i`` of the line; columns are found only here.
+
+    ``raw.split()`` and ``_TOKEN_RE`` split on the same characters, so
+    token ``i`` of the one is token ``i`` of the other.
+    """
+    raise ParseError(lineno, _tokens(raw)[i][1], message)
+
+
 def parse(text: str) -> SpaceDocument:
-    """Parse a space document; raises ParseError with line and column."""
+    """Parse a space document; raises ParseError with line and column.
+
+    Runs in time linear in the document: each line is split once, labels
+    are looked up in a set, and a record is walked token by token only
+    when a whole-row test has already found an error in it.
+    """
     name: str | None = None
     points: tuple[str, ...] | None = None
+    declared: set[str] = set()
     nbhds: dict[str, tuple[str, ...]] = {}
     last_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         last_line = lineno
-        toks = _tokens(raw)
-        if not toks or toks[0][0].startswith("#"):
+        toks = raw.split()
+        if not toks or toks[0].startswith("#"):
             continue
-        head, col = toks[0]
-        if head == "space":
+        head = toks[0]
+        if head == "nbhd":
+            if points is None:
+                _fail(lineno, raw, 0, "nbhd record before points record")
+            if len(toks) < 2 or not toks[1].endswith(":"):
+                _fail(lineno, raw, 0, "expected: nbhd LABEL: MEMBERS...")
+            label = toks[1][:-1]
+            if label not in declared:
+                _fail(lineno, raw, 1, f"undeclared point {label!r}")
+            if label in nbhds:
+                _fail(lineno, raw, 1, f"duplicate nbhd record for {label!r}")
+            row = toks[2:]
+            members = set(row)
+            if len(members) != len(row) or not declared.issuperset(members):
+                seen: set[str] = set()
+                for i, tok in enumerate(row, start=2):
+                    if tok not in declared:
+                        _fail(lineno, raw, i, f"undeclared point {tok!r}")
+                    if tok in seen:
+                        _fail(lineno, raw, i, f"repeated member {tok!r}")
+                    seen.add(tok)
+            nbhds[label] = tuple(row)
+        elif head == "space":
             if name is not None:
-                raise ParseError(lineno, col, "duplicate space record")
+                _fail(lineno, raw, 0, "duplicate space record")
             if len(toks) != 2:
-                raise ParseError(lineno, col, "expected: space NAME")
-            name = toks[1][0]
+                _fail(lineno, raw, 0, "expected: space NAME")
+            name = toks[1]
             if not _LABEL_RE.match(name):
-                raise ParseError(lineno, toks[1][1], f"illegal name {name!r}")
+                _fail(lineno, raw, 1, f"illegal name {name!r}")
         elif head == "points":
             if name is None:
-                raise ParseError(lineno, col, "points record before space record")
+                _fail(lineno, raw, 0, "points record before space record")
             if points is not None:
-                raise ParseError(lineno, col, "duplicate points record")
-            seen: dict[str, int] = {}
-            for tok, tcol in toks[1:]:
-                if not _LABEL_RE.match(tok):
-                    raise ParseError(lineno, tcol, f"illegal label {tok!r}")
-                if tok in seen:
-                    raise ParseError(lineno, tcol, f"duplicate point label {tok!r}")
-                seen[tok] = tcol
-            points = tuple(tok for tok, _ in toks[1:])
-        elif head == "nbhd":
-            if points is None:
-                raise ParseError(lineno, col, "nbhd record before points record")
-            if len(toks) < 2 or not toks[1][0].endswith(":"):
-                raise ParseError(lineno, col, "expected: nbhd LABEL: MEMBERS...")
-            label = toks[1][0][:-1]
-            if label not in points:
-                raise ParseError(lineno, toks[1][1], f"undeclared point {label!r}")
-            if label in nbhds:
-                raise ParseError(lineno, toks[1][1], f"duplicate nbhd record for {label!r}")
-            members = []
-            for tok, tcol in toks[2:]:
-                if tok not in points:
-                    raise ParseError(lineno, tcol, f"undeclared point {tok!r}")
-                if tok in members:
-                    raise ParseError(lineno, tcol, f"repeated member {tok!r}")
-                members.append(tok)
-            nbhds[label] = tuple(members)
+                _fail(lineno, raw, 0, "duplicate points record")
+            points = tuple(toks[1:])
+            declared = set(points)
+            if len(declared) != len(points) or not all(map(_LABEL_RE.match, points)):
+                seen = set()
+                for i, tok in enumerate(points, start=1):
+                    if not _LABEL_RE.match(tok):
+                        _fail(lineno, raw, i, f"illegal label {tok!r}")
+                    if tok in seen:
+                        _fail(lineno, raw, i, f"duplicate point label {tok!r}")
+                    seen.add(tok)
         else:
-            raise ParseError(lineno, col, f"unknown record {head!r}")
+            _fail(lineno, raw, 0, f"unknown record {head!r}")
     if name is None:
         raise ParseError(last_line + 1, 1, "missing space record")
     if points is None:
@@ -595,3 +647,7 @@ __all__ = [
     "run",
     "main",
 ]
+
+
+if __name__ == "__main__":
+    main()

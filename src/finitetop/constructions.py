@@ -138,11 +138,13 @@ def quotient(x: Space, p: Partition) -> Space:
     The neighborhood of a class c is computed by a saturation fixpoint:
     starting from the members of c, alternately close under taking
     neighborhoods (open hull) and under completing classes (saturation)
-    until stable.  The stable set W is the least saturated open superset
-    of c, so its classes form the minimal open neighborhood of [c].  The
-    openness and saturation of each preimage are re-verified before the
-    quotient is returned.  Labels join the class members' labels with
-    ``+``, dropped when two of them coincide.
+    until stable.  Each round takes the neighborhoods of only the points
+    added in the round before, so the work per class is O(|W|).  The
+    stable set W is the least saturated open superset of c, so its
+    classes form the minimal open neighborhood of [c].  The openness and
+    saturation of each preimage are re-verified before the quotient is
+    returned.  Labels join the class members' labels with ``+``, dropped
+    when two of them coincide.
     """
     if p.carrier_size != x.n:
         raise PartitionMismatch(x.n, p.carrier_size)
@@ -150,15 +152,14 @@ def quotient(x: Space, p: Partition) -> Space:
     class_of = p.class_of
     nb = []
     for c in range(p.k):
-        w = cmasks[c]
-        while True:
-            hull = 0
-            for y in iter_bits(w):
+        w = fresh = cmasks[c]
+        while fresh:
+            hull = w
+            for y in iter_bits(fresh):
                 hull |= x.masks[y]
-            if hull == w:
-                break
             for y in iter_bits(hull & ~w):
                 hull |= cmasks[class_of[y]]
+            fresh = hull & ~w
             w = hull
         if not is_open(x, PointSet(x.n, w)) or w & cmasks[c] != cmasks[c]:
             raise InternalError("saturation fixpoint produced a non-open preimage")

@@ -121,6 +121,33 @@ def least_saturated_open_superset(space: Space, class_masks: list[int], c: int) 
     return result
 
 
+def quotient_masks_by_fixpoint(space: Space, class_of: tuple[int, ...]) -> list[int]:
+    """Neighborhood of each class of the quotient, by a whole-set fixpoint.
+
+    Starting from a class, every round unions the neighborhoods of all
+    points collected so far and then every class that meets the result,
+    until nothing changes; the answer is the set of classes collected.
+    Works on Python sets of points, so it scales to a few hundred points
+    where the powerset oracle above cannot.
+    """
+    k = max(class_of, default=-1) + 1
+    members = [{x for x in range(space.n) if class_of[x] == c} for c in range(k)]
+    out = []
+    for c in range(k):
+        w = set(members[c])
+        while True:
+            grown = set(w)
+            for y in w:
+                grown.update(bits_of(space.masks[y]))
+            for d in {class_of[y] for y in grown}:
+                grown |= members[d]
+            if grown == w:
+                break
+            w = grown
+        out.append(sum(1 << d for d in {class_of[y] for y in w}))
+    return out
+
+
 def _distinct(space: Space) -> list[int]:
     return list(dict.fromkeys(space.masks))
 

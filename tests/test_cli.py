@@ -302,6 +302,22 @@ def test_python_dash_m_runs_the_cli():
     assert "classes: 9" in done.stdout
 
 
+def test_python_dash_m_cli_module_runs():
+    src = str(Path(finitetop.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "finitetop.cli", "census", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    # stderr is not checked: runpy warns that finitetop.cli is already imported
+    assert done.returncode == 0
+    assert done.stdout.startswith("n: 3\n")
+
+
 def test_closed_pipe_exits_quietly():
     src = str(Path(finitetop.__file__).resolve().parent.parent)
     env = dict(os.environ)

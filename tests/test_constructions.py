@@ -20,7 +20,7 @@ from finitetop.errors import PartitionMismatch, SizeOverflow
 from finitetop.generators import blocks, chain, discrete, indiscrete
 from finitetop.invariants import is_irreducible, min_of
 
-from oracles import least_saturated_open_superset
+from oracles import least_saturated_open_superset, quotient_masks_by_fixpoint
 
 SIERP = from_neighborhoods(2, [{0}, {0, 1}])
 
@@ -185,6 +185,20 @@ class TestQuotient:
         q = quotient(s, Partition.from_blocks(3, [[0, 1], [2]]))
         assert q.labels is None
         assert q.masks == chain(2).masks
+
+    def test_fence_needing_many_rounds_matches_fixpoint_oracle(self):
+        # fence a0 < b0 > a1 < b1 > ... a64 (a_i = 2i, b_i = 2i + 1), with
+        # b_i and a_(i+1) in one class: the hull of class i + 1 reaches a0
+        # only after i rounds, and the quotient is a chain
+        pairs = 64
+        n = 2 * pairs + 1
+        fence = from_neighborhoods(
+            n, [1 << x if x % 2 == 0 else 0b111 << (x - 1) for x in range(n)]
+        )
+        part = Partition.from_blocks(n, [[0]] + [[2 * i + 1, 2 * i + 2] for i in range(pairs)])
+        q = quotient(fence, part)
+        assert list(q.masks) == quotient_masks_by_fixpoint(fence, part.class_of)
+        assert q.masks == chain(pairs + 1).masks
 
 
 class TestT0Quotient:

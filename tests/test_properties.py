@@ -37,6 +37,7 @@ from oracles import (
     homeomorphic_bruteforce,
     min_cover_bruteforce,
     open_masks_by_definition,
+    quotient_masks_by_fixpoint,
 )
 from strategies import nonempty_spaces, space_pairs_with_map, spaces
 
@@ -140,6 +141,14 @@ def test_quotient_validates_and_pulls_back_open(s, data):
         for d in q.nbhd[c].members():
             preimage |= cmasks[d]
         assert is_open(s, PointSet(s.n, preimage))
+
+
+@given(spaces(max_classes=6, max_class_size=3), st.data())
+def test_quotient_matches_fixpoint_oracle(s, data):
+    k = data.draw(st.integers(1, max(s.n, 1)))
+    assignment = [data.draw(st.integers(0, k - 1)) for _ in range(s.n)]
+    part = Partition.from_class_of(assignment) if s.n else Partition(0, (), 0)
+    assert list(quotient(s, part).masks) == quotient_masks_by_fixpoint(s, part.class_of)
 
 
 @given(spaces())
