@@ -1,17 +1,22 @@
-"""Color refinement and canonical ordering of neighborhood structures.
+"""Color refinement and the individualization–refinement search.
 
 Works on raw bitmask arrays (``masks[x]`` = members of the minimal
-neighborhood of ``x``) so it can be shared by canonicalization and the
-homeomorphism search without importing the space types.
+neighborhood of ``x``) so it can be shared by canonical forms, the
+homeomorphism search and the census without importing the space types.
 
-Colors are dense integer ranks.  When several mask arrays are refined
-together, the ranks are assigned globally, so equal colors mean equal
-iterated fingerprints across the whole pool.
+Colors are dense integer ranks: equal colors mean equal iterated
+fingerprints, and a refinement keeps the order of the colors it splits.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterator, Sequence
+
+from .errors import SearchBudgetExceeded
+
+#: Individualizations one search may make before it gives up.
+DEFAULT_SEARCH_BUDGET = 10_000_000
 
 
 def up_masks(masks: Sequence[int]) -> list[int]:
@@ -36,57 +41,52 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def refine_colors(
-    pool: Sequence[Sequence[int]],
-    initial: Sequence[Sequence[int]] | None = None,
-) -> list[list[int]]:
-    """Stable iterated-fingerprint colors for each mask array in the pool.
+    down: Sequence[Sequence[int]],
+    up: Sequence[Sequence[int]],
+    initial: Sequence[int] | None = None,
+) -> list[int]:
+    """Stable iterated-fingerprint colors of the points.
 
-    The starting fingerprint of a point is (|S(x)|, sorted sizes of the
-    members' neighborhoods); rounds then fold in the sorted colors of the
-    members of S(x) and of the points whose neighborhood contains x.
-    Refinement only ever splits color classes, so iteration stops as soon
-    as the number of distinct colors stops growing.
+    ``down[x]`` lists the members of S(x) and ``up[x]`` the points whose
+    neighborhood contains x; a search builds both once.  Without
+    ``initial`` the starting fingerprint of a point is (|S(x)|, sorted
+    sizes of the members' neighborhoods); rounds then fold in the sorted
+    colors of ``down[x]`` and of ``up[x]``.  Refinement only ever splits
+    color classes, so iteration stops as soon as the number of distinct
+    colors stops growing.
     """
-    ups = [up_masks(masks) for masks in pool]
-
     if initial is None:
-        sigs: list[list[tuple]] = [
-            [
-                (m.bit_count(), tuple(sorted(masks[y].bit_count() for y in iter_bits(m))))
-                for m in masks
-            ]
-            for masks in pool
-        ]
+        sizes = [len(ys) for ys in down]
+        sigs: list = [(len(ys), tuple(sorted([sizes[y] for y in ys]))) for ys in down]
     else:
-        sigs = [[(c,) for c in colors] for colors in initial]
-
+        sigs = list(initial)
     colors = _rank(sigs)
+    n = len(down)
     prev_distinct = -1
     while True:
-        distinct = len({c for cs in colors for c in cs})
-        if distinct == prev_distinct:
+        distinct = max(colors, default=-1) + 1
+        if distinct == prev_distinct or distinct == n:
             return colors
         prev_distinct = distinct
-        sigs = []
-        for idx, masks in enumerate(pool):
-            cs = colors[idx]
-            us = ups[idx]
-            sigs.append(
-                [
-                    (
-                        cs[x],
-                        tuple(sorted(cs[y] for y in iter_bits(masks[x]))),
-                        tuple(sorted(cs[z] for z in iter_bits(us[x]))),
-                    )
-                    for x in range(len(masks))
-                ]
-            )
-        colors = _rank(sigs)
+        color = colors.__getitem__
+        colors = _rank(
+            [
+                (colors[x], tuple(sorted(map(color, down[x]))), tuple(sorted(map(color, up[x]))))
+                for x in range(n)
+            ]
+        )
 
 
-def _rank(sigs: list[list[tuple]]) -> list[list[int]]:
-    order = {s: i for i, s in enumerate(sorted({s for ss in sigs for s in ss}))}
-    return [[order[s] for s in ss] for ss in sigs]
+def _rank(sigs: list) -> list[int]:
+    order = {s: i for i, s in enumerate(sorted(set(sigs)))}
+    return [order[s] for s in sigs]
+
+
+def _individualize(
+    down: Sequence[Sequence[int]], up: Sequence[Sequence[int]], colors: list[int], p: int
+) -> list[int]:
+    """Refined colors after giving p a color of its own, just below its cell."""
+    return refine_colors(down, up, [2 * c + (q != p) for q, c in enumerate(colors)])
 
 
 def _swap_bits(mask: int, p: int, q: int) -> int:
@@ -97,17 +97,8 @@ def _swap_bits(mask: int, p: int, q: int) -> int:
     return mask
 
 
-def transposition_is_symmetry(masks: Sequence[int], p: int, q: int) -> bool:
-    """True when exchanging points p and q leaves the structure unchanged."""
-    for z, m in enumerate(masks):
-        if z == p or z == q:
-            continue
-        if (m >> p & 1) != (m >> q & 1):
-            return False
-    return _swap_bits(masks[p], p, q) == masks[q]
-
-
-def _encode(masks: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
+def encode(masks: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
+    """The mask table relabeled so that point order[i] becomes i."""
     pos = [0] * len(order)
     for new, old in enumerate(order):
         pos[old] = new
@@ -120,45 +111,147 @@ def _encode(masks: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def canonical_order(masks: Sequence[int]) -> tuple[int, ...]:
-    """An ordering of the points whose induced relabeling is canonical.
+def order_map(src: Sequence[int], dst: Sequence[int]) -> list[int]:
+    """The point map sending src[i] to dst[i] for every i."""
+    f = [0] * len(src)
+    for x, y in zip(src, dst):
+        f[x] = y
+    return f
 
-    Points are arranged by refined color; ties are resolved by
-    individualizing one candidate at a time and keeping the ordering with
-    the lexicographically least relabeled mask table.  Candidates related
-    by a transposition symmetry are interchangeable and only tried once;
-    no symmetry that moves more than two points is pruned, so the search
-    still visits b! leaves on ``blocks(b, m)``.
-    The relabeled table depends only on the structure, never on the
-    incoming point numbering.
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def canonical_order(
+    masks: Sequence[int],
+    fixed: Sequence[int] = (),
+    budget: int = DEFAULT_SEARCH_BUDGET,
+) -> tuple[tuple[int, ...], list[tuple[int, ...]], int]:
+    """The canonical order of the points, generators of Aut and |Aut|.
+
+    The points of ``fixed`` are individualized first, in that order, so
+    the automorphisms are those that fix each of them.  Points are then
+    arranged by refined color; a tied cell (the least tied color) is
+    split by individualizing each candidate in turn, depth first with an
+    explicit stack, and the order kept is the leaf with the
+    lexicographically least relabeled mask table (``encode``), which
+    depends only on the structure, never on the incoming numbering.
+
+    A leaf whose table equals the first or the best leaf's yields an
+    automorphism; one equal to the first leaf sends the walk back to the
+    first path.  A candidate is skipped when it lies in the orbit of an
+    explored sibling under the automorphisms found below their node, or
+    when swapping it with an explored sibling is an automorphism (a twin
+    swap, recorded as a generator).  |Aut| is the product of the orbit
+    sizes of the first child along the first path.  More than ``budget``
+    individualizations raise SearchBudgetExceeded.
     """
     n = len(masks)
     if n <= 1:
-        return tuple(range(n))
+        return tuple(range(n)), [], 1
+    ups = up_masks(masks)
+    down = [list(iter_bits(m)) for m in masks]
+    up = [list(iter_bits(m)) for m in ups]
+    colors = refine_colors(down, up)
+    for p in fixed:
+        colors = _individualize(down, up, colors, p)
 
-    best: dict[str, object] = {"enc": None, "order": None}
+    gens: list[tuple[int, ...]] = []
+    # Orbits are union-find arrays over the generators that stabilize a
+    # node.  The first-path nodes share one: every generator found so far
+    # lies below the deepest of them, so it stabilizes them all.  Other
+    # nodes get their own with their first generator.
+    shared = list(range(n))
+    aut = 1
+    spent = 0
+    first_enc: tuple[int, ...] | None = None
+    first_order: list[int] = []
+    best_enc: tuple[int, ...] = ()
+    best_order: list[int] = []
+    best_path: list[int] = []
+    first_depth = 0  # stack index of the deepest first-path node
+    # A node: [colors, cell, next candidate index, explored children, orbits].
+    stack: list[list] = []
+    path: list[int] = []  # path[d] was individualized at stack[d]
 
-    def descend(colors: list[int]) -> None:
-        counts: dict[int, int] = {}
-        for c in colors:
-            counts[c] = counts.get(c, 0) + 1
-        tied = [c for c, k in counts.items() if k > 1]
-        if not tied:
-            order = tuple(sorted(range(n), key=colors.__getitem__))
-            enc = _encode(masks, order)
-            if best["enc"] is None or enc < best["enc"]:  # type: ignore[operator]
-                best["enc"] = enc
-                best["order"] = order
-            return
-        cell_color = min(tied)
-        cell = [p for p in range(n) if colors[p] == cell_color]
-        reps: list[int] = []
-        for p in cell:
-            if not any(transposition_is_symmetry(masks, r, p) for r in reps):
-                reps.append(p)
-        for cand in reps:
-            seed = [colors[p] * 2 + (0 if p == cand else 1) for p in range(n)]
-            descend(refine_colors([masks], initial=[seed])[0])
+    def record(perm: Sequence[int], depth: int) -> None:
+        """Keep an automorphism that stabilizes the stack nodes at index <= depth."""
+        gens.append(tuple(perm))
+        for d in range(first_depth, min(depth, len(stack) - 1) + 1):
+            parent = stack[d][4]
+            if parent is None:
+                parent = stack[d][4] = list(range(n))
+            for x, y in enumerate(perm):
+                rx, ry = _find(parent, x), _find(parent, y)
+                if rx != ry:
+                    parent[rx] = ry
 
-    descend(refine_colors([masks])[0])
-    return best["order"]  # type: ignore[return-value]
+    node: list[int] | None = colors
+    while True:
+        if node is not None:
+            if max(node) + 1 < n:
+                tied = min(c for c, k in Counter(node).items() if k > 1)
+                cell = [q for q in range(n) if node[q] == tied]
+                stack.append([node, cell, 0, [], shared if first_enc is None else None])
+            else:
+                order = order_map(node, range(n))
+                enc = encode(masks, order)
+                if first_enc is None:
+                    first_enc, first_order = enc, order
+                    best_enc, best_order, best_path = enc, order, path[:]
+                    first_depth = len(stack) - 1
+                elif enc == first_enc:
+                    record(order_map(first_order, order), first_depth)
+                    del stack[first_depth + 1 :]
+                elif enc == best_enc:
+                    j = 0
+                    while j < min(len(path), len(best_path)) and path[j] == best_path[j]:
+                        j += 1
+                    record(order_map(best_order, order), j)
+                elif enc < best_enc:
+                    best_enc, best_order, best_path = enc, order, path[:]
+            node = None
+        if not stack:
+            break
+        top = stack[-1]
+        colors, cell, i, explored, parent = top
+        depth = len(stack) - 1
+        if i == len(cell):
+            stack.pop()
+            if depth == first_depth:
+                root = _find(shared, cell[0])
+                aut *= sum(1 for q in cell if _find(shared, q) == root)
+                first_depth -= 1
+            continue
+        top[2] = i + 1
+        p = cell[i]
+        if parent is not None and explored:
+            rp = _find(parent, p)
+            if any(_find(parent, q) == rp for q in explored):
+                continue
+        twin = next(
+            (
+                q
+                for q in explored
+                if not (ups[p] ^ ups[q]) & ~(1 << p | 1 << q)
+                and _swap_bits(masks[p], p, q) == masks[q]
+            ),
+            None,
+        )
+        if twin is not None:
+            swap = list(range(n))
+            swap[p], swap[twin] = twin, p
+            record(swap, depth)
+            continue
+        spent += 1
+        if spent > budget:
+            raise SearchBudgetExceeded(budget)
+        explored.append(p)
+        del path[depth:]
+        path.append(p)
+        node = _individualize(down, up, colors, p)
+    return tuple(best_order), gens, aut

@@ -4,20 +4,22 @@ Spaces on a fixed carrier correspond exactly to preorders, so the
 enumerator walks every candidate neighborhood array (one subset
 containing x per point x) and keeps the ones closed under the
 minimality condition.  Grouping into homeomorphism classes goes through
-canonical forms, with a pairwise search over class representatives as an
-independent cross-check.  The cap is deliberate: at six points the class
-refinement is already beyond desk scale.
+canonical forms.  Each class is checked against the orbit-stabilizer
+identity size · |Aut| = n!, which fails for both halves of a class that a
+non-canonical form splits.  The cap is deliberate: the walk over
+candidate arrays grows like 2^(n(n-1)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from math import factorial
 
+from ._refine import canonical_order
 from .core import Space, canonical_form
-from .errors import InternalError, TooLarge
+from .errors import InternalError, InvalidArgument, TooLarge
 from .invariants import index_of, min_of
-from .maps import find_homeomorphism
 
 #: Hard cap on exhaustive enumeration.
 CENSUS_CAP = 5
@@ -73,12 +75,13 @@ class CensusRow:
 def census(n: int) -> CensusRow:
     """Group all spaces on n labeled points into homeomorphism classes.
 
-    Classes are keyed by canonical form; representatives are then checked
-    pairwise with the homeomorphism search, so a canonicalization defect
-    would surface here rather than skew the counts.
+    Classes are keyed by canonical form.  A class of size k whose
+    representative has |Aut| automorphisms must satisfy k · |Aut| = n!,
+    so a canonicalization defect raises InternalError here rather than
+    skew the counts.
     """
     if n < 1:
-        raise ValueError("census needs at least one point")
+        raise InvalidArgument("census needs at least one point")
     if n > CENSUS_CAP:
         raise TooLarge(n, CENSUS_CAP)
     buckets: dict[tuple[int, ...], tuple[Space, int]] = {}
@@ -93,17 +96,15 @@ def census(n: int) -> CensusRow:
         else:
             buckets[key] = (canon, 1)
 
-    reps = [rep for rep, _ in buckets.values()]
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if find_homeomorphism(reps[i], reps[j]) is not None:
-                raise InternalError(
-                    "two canonical classes are homeomorphic; canonicalization is broken"
-                )
-
     classes = []
     for key in sorted(buckets):
         rep, count = buckets[key]
+        _, _, aut = canonical_order(rep.masks)
+        if count * aut != factorial(n):
+            raise InternalError(
+                f"class of size {count} breaks size · |Aut| = {n}!; "
+                "canonicalization is broken"
+            )
         classes.append(
             CensusClass(
                 representative=rep,

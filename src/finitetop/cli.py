@@ -21,7 +21,9 @@ Glue data files use two record kinds::
 
 Exit codes: 0 success, 1 negative answer (not continuous, not
 homeomorphic, invalid space under ``validate``, glue rejection), 2 input
-error, 3 internal error (a failed self-check; its traceback is printed).
+error (a ``FinitetopError`` such as a bad document, argument or size
+guard, or an unreadable file), 3 internal error (an ``InternalError``
+self-check or any other exception; its traceback is printed).
 Setting the environment variable FINITETOP_VERBOSE prints tracebacks for
 input errors.
 """
@@ -107,12 +109,10 @@ def _first_repeat(items: Sequence[str]) -> str | None:
 
 
 def _relabel_error(err: FinitetopError, labels: Sequence[str]) -> str:
-    msg = str(err)
-    for attr in ("point", "member"):
-        value = getattr(err, attr, None)
-        if isinstance(value, int) and 0 <= value < len(labels):
-            msg = msg.replace(f"point {value}", f"point '{labels[value]}'", 1)
-    return msg
+    describe = getattr(err, "describe", None)
+    if describe is None:
+        return str(err)
+    return describe(lambda p: f"'{labels[p]}'")
 
 
 def _check_label(label: str) -> None:
@@ -597,7 +597,7 @@ def _build_parser() -> argparse.ArgumentParser:
 _INPUT_ERRORS = (
     FinitetopError,
     OSError,
-    ValueError,
+    UnicodeDecodeError,
 )
 
 
@@ -613,15 +613,15 @@ def run(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader went away: not an input error; main exits quietly
         raise
-    except InternalError as err:
+    except Exception as err:
+        if isinstance(err, _INPUT_ERRORS) and not isinstance(err, InternalError):
+            if os.environ.get("FINITETOP_VERBOSE"):
+                traceback.print_exc()
+            print(f"error: {err}", file=sys.stderr)
+            return 2
         traceback.print_exc()
         print(f"internal error: {err}", file=sys.stderr)
         return 3
-    except _INPUT_ERRORS as err:
-        if os.environ.get("FINITETOP_VERBOSE"):
-            traceback.print_exc()
-        print(f"error: {err}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

@@ -386,13 +386,11 @@ def canonical_form(space: Space) -> Space:
 
     Points are sorted by neighborhood size, then by the sorted multiset of
     their members' neighborhood sizes, then by an iterated fingerprint
-    refinement; remaining ties are resolved by a backtracking search for
-    the least relabeled mask table, pruned by transposition symmetries.
+    refinement; remaining ties are resolved by an individualization
+    search for the least relabeled mask table, pruned by the
+    automorphisms it finds (``_refine.canonical_order``).
     Equal canonical forms therefore imply the inputs are homeomorphic.
     Labels are dropped: the canonical form identifies pure structure.
     """
-    order = _refine.canonical_order(space.masks)
-    perm = [0] * space.n
-    for new, old in enumerate(order):
-        perm[old] = new
-    return Space._of(space.n, relabel(space, perm).masks)
+    order, _, _ = _refine.canonical_order(space.masks)
+    return Space._of(space.n, _refine.encode(space.masks, order))

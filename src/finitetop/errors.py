@@ -6,6 +6,8 @@ programmatically instead of parsing messages.
 
 from __future__ import annotations
 
+from typing import Callable
+
 
 class FinitetopError(Exception):
     """Base class for all errors raised by this package."""
@@ -13,6 +15,10 @@ class FinitetopError(Exception):
 
 class InternalError(FinitetopError):
     """A failed self-check: a defect in this package, never bad input."""
+
+
+class InvalidArgument(FinitetopError, ValueError):
+    """A size or parameter outside the range an operation accepts."""
 
 
 # ---------------------------------------------------------------------------
@@ -24,7 +30,11 @@ class ReflexivityViolation(FinitetopError):
 
     def __init__(self, point: int):
         self.point = point
-        super().__init__(f"point {point} is not a member of its own neighborhood")
+        super().__init__(self.describe(str))
+
+    def describe(self, name: Callable[[int], str]) -> str:
+        """The message with each witness point written as ``name(point)``."""
+        return f"point {name(self.point)} is not a member of its own neighborhood"
 
 
 class MinimalityViolation(FinitetopError):
@@ -33,8 +43,12 @@ class MinimalityViolation(FinitetopError):
     def __init__(self, point: int, member: int):
         self.point = point
         self.member = member
-        super().__init__(
-            f"point {member} lies in the neighborhood of {point}, "
+        super().__init__(self.describe(str))
+
+    def describe(self, name: Callable[[int], str]) -> str:
+        """The message with each witness point written as ``name(point)``."""
+        return (
+            f"point {name(self.member)} lies in the neighborhood of {name(self.point)}, "
             f"but its own neighborhood is not contained there"
         )
 
@@ -124,12 +138,9 @@ class NotOpen(FinitetopError):
 
 
 class SearchBudgetExceeded(FinitetopError):
-    def __init__(self, budget: int, reason: str = ""):
+    def __init__(self, budget: int):
         self.budget = budget
-        msg = f"homeomorphism search exceeded its budget of {budget}"
-        if reason:
-            msg = f"{msg}: {reason}"
-        super().__init__(msg)
+        super().__init__(f"search exceeded its node budget of {budget}")
 
 
 class InvalidGlueData(FinitetopError):

@@ -15,19 +15,20 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import Space, from_preorder
+from .errors import InvalidArgument
 
 
 def chain(k: int) -> Space:
     """Totally ordered space: the neighborhood of i is {0, ..., i}."""
     if k < 1:
-        raise ValueError("chain needs at least one point")
+        raise InvalidArgument("chain needs at least one point")
     return Space._of(k, tuple((1 << (i + 1)) - 1 for i in range(k)))
 
 
 def blocks(b: int, m: int) -> Space:
     """``b`` disjoint groups of ``m`` points, each group indiscrete inside."""
     if b < 1 or m < 1:
-        raise ValueError("blocks needs positive block count and size")
+        raise InvalidArgument("blocks needs positive block count and size")
     group = (1 << m) - 1
     return Space._of(b * m, tuple(group << (i * m) for i in range(b) for _ in range(m)))
 
@@ -40,7 +41,7 @@ def divisor(bound: int, with_top: bool = False) -> Space:
     maximal element above every order.
     """
     if bound < 1:
-        raise ValueError("divisor needs a positive bound")
+        raise InvalidArgument("divisor needs a positive bound")
     n = bound + 1 if with_top else bound
     nb = []
     for m in range(1, bound + 1):
@@ -58,13 +59,13 @@ def divisor(bound: int, with_top: bool = False) -> Space:
 
 def discrete(n: int) -> Space:
     if n < 0:
-        raise ValueError("negative size")
+        raise InvalidArgument("negative size")
     return Space._of(n, tuple(1 << x for x in range(n)))
 
 
 def indiscrete(n: int) -> Space:
     if n < 0:
-        raise ValueError("negative size")
+        raise InvalidArgument("negative size")
     return Space._of(n, ((1 << n) - 1,) * n)
 
 
@@ -78,9 +79,9 @@ def random_space(n: int, seed: int, density: float = 0.5) -> Space:
     renamed chain.
     """
     if n < 0:
-        raise ValueError("negative size")
+        raise InvalidArgument("negative size")
     if not 0.0 <= density <= 1.0:
-        raise ValueError("density must lie in [0, 1]")
+        raise InvalidArgument("density must lie in [0, 1]")
     rng = random.Random(seed)
     up_edges = [
         [j for j in range(i + 1, n) if rng.random() < density] for i in range(n)
@@ -161,5 +162,5 @@ GENERATOR_KINDS = {
 
 def _kind(kind: str) -> GeneratorKind:
     if kind not in GENERATOR_KINDS:
-        raise ValueError(f"unknown generator kind {kind!r}")
+        raise InvalidArgument(f"unknown generator kind {kind!r}")
     return GENERATOR_KINDS[kind]

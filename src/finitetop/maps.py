@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import _refine
-from ._refine import iter_bits
+from ._refine import DEFAULT_SEARCH_BUDGET, iter_bits
 from .constructions import subspace
 from .core import PointSet, Space
 from .errors import (
@@ -22,14 +22,7 @@ from .errors import (
     NotOpen,
     NotWellDefined,
     ResultNotHomeomorphism,
-    SearchBudgetExceeded,
 )
-
-#: Default backtracking-node budget for the homeomorphism search.
-DEFAULT_SEARCH_BUDGET = 10_000_000
-
-#: Default carrier guard for the homeomorphism search.
-DEFAULT_SEARCH_MAX_POINTS = 10
 
 
 @dataclass(frozen=True)
@@ -124,71 +117,48 @@ def _is_structure_isomorphism(a: Space, b: Space, f: Sequence[int]) -> bool:
 def find_homeomorphism(
     a: Space,
     b: Space,
-    max_points: int = DEFAULT_SEARCH_MAX_POINTS,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> SpaceMap | None:
-    """Search for a homeomorphism from a to b; None when there is none.
+    """The lexicographically least homeomorphism from a to b (by its f array), or None.
 
-    Backtracks over bijections, pruned so that matched points share the
-    same iterated-fingerprint color (computed jointly over both spaces,
-    which subsumes matching neighborhood sizes).  Deterministic: the
-    lexicographically least homeomorphism (by its f array) is returned
-    when any exists.  Exceeds of the node budget or of the carrier guard
-    raise SearchBudgetExceeded.
+    Unequal canonical forms answer None at once.  Otherwise the two
+    canonical orders give one homeomorphism f, and every other one is f
+    followed by an automorphism of b.  For x = 0, 1, ... in turn, f[x]
+    moves to the least point of its orbit under the automorphisms that
+    fix f[0..x-1]; the canonical search reruns on b with f[0..x] pinned
+    only when that orbit has more than one point.  Each search runs under
+    its own node budget (SearchBudgetExceeded).
     """
     if a.n != b.n:
         return None
     n = a.n
     if n == 0:
         return SpaceMap(a, b, ())
-    if n > max_points:
-        raise SearchBudgetExceeded(
-            budget, f"carrier size {n} exceeds the search guard of {max_points}"
-        )
-    ca, cb = _refine.refine_colors([a.masks, b.masks])
-    if sorted(ca) != sorted(cb):
+    order_a, _, _ = _refine.canonical_order(a.masks, budget=budget)
+    order_b, gens, _ = _refine.canonical_order(b.masks, budget=budget)
+    if _refine.encode(a.masks, order_a) != _refine.encode(b.masks, order_b):
         return None
-    candidates = [
-        [y for y in range(n) if cb[y] == ca[x]] for x in range(n)
-    ]
-
-    f = [-1] * n
-    used = [False] * n
-    nodes = 0
-
-    def extend(x: int) -> bool:
-        nonlocal nodes
-        if x == n:
-            return True
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(budget)
-            ok = True
-            for x0 in range(x):
-                y0 = f[x0]
-                if (a.masks[x] >> x0 & 1) != (b.masks[y] >> y0 & 1):
-                    ok = False
-                    break
-                if (a.masks[x0] >> x & 1) != (b.masks[y0] >> y & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if (a.masks[x] >> x & 1) != (b.masks[y] >> y & 1):
-                continue
-            f[x] = y
-            used[y] = True
-            if extend(x + 1):
-                return True
-            f[x] = -1
-            used[y] = False
-        return False
-
-    if not extend(0):
-        return None
+    f = _refine.order_map(order_a, order_b)
+    for x in range(n):
+        # breadth-first orbit of f[x], with the generator that reached each point
+        via = {f[x]: (-1, -1)}
+        frontier = [f[x]]
+        for y in frontier:
+            for i, g in enumerate(gens):
+                if g[y] not in via:
+                    via[g[y]] = (y, i)
+                    frontier.append(g[y])
+        if len(via) == 1:
+            continue
+        least = min(via)
+        steps = []
+        y = least
+        while y != f[x]:
+            y, i = via[y]
+            steps.append(gens[i])
+        for g in reversed(steps):
+            f = [g[v] for v in f]
+        _, gens, _ = _refine.canonical_order(b.masks, fixed=f[: x + 1], budget=budget)
     if not _is_structure_isomorphism(a, b, f):
         raise InternalError("search returned a map that is not a homeomorphism")
     return SpaceMap(a, b, tuple(f))

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -138,6 +140,13 @@ class TestRun:
         assert run(["validate", f]) == 1
         assert "invalid" in capsys.readouterr().out
 
+    def test_validate_names_minimality_witnesses(self, tmp_path, capsys):
+        text = "space S\npoints a b c\nnbhd a: a b\nnbhd b: b c\nnbhd c: c\n"
+        assert run(["validate", write(tmp_path, "bad.space", text)]) == 1
+        out, err = capsys.readouterr()
+        assert "point 'b' lies in the neighborhood of 'a'," in out
+        assert not re.search(r"\b\d+\b", out + err)
+
     def test_validate_syntax_failure(self, tmp_path, capsys):
         f = write(tmp_path, "syn.space", "points a\n")
         assert run(["validate", f]) == 2
@@ -253,8 +262,47 @@ class TestRun:
         assert "labeled: 29" in out
         assert "classes: 9" in out
 
+    def test_census_5_output_unchanged(self, capsys):
+        assert run(["census", "5"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == (
+            "a1ee4ae50012fa11a9dcdac69f83350e5461770cd3f056a3c4a43e0e95d29781"
+        )
+
     def test_census_too_large(self, capsys):
         assert run(["census", "7"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "chain", "0"],
+            ["gen", "blocks", "0", "2"],
+            ["gen", "random", "-1"],
+            ["gen", "random", "4", "--density", "2"],
+            ["gen", "divisor", "0"],
+            ["gen", "discrete", "-1"],
+            ["gen", "indiscrete", "-1"],
+            ["census", "0"],
+        ],
+    )
+    def test_out_of_range_argument_is_input_error(self, argv, capsys):
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_undecodable_file_is_input_error(self, tmp_path, capsys):
+        f = tmp_path / "bad.space"
+        f.write_bytes(b"space S\npoints \xff\n")
+        assert run(["validate", str(f)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_stray_value_error_is_internal(self, tmp_path, capsys, monkeypatch):
+        def broken(space):
+            raise ValueError("a defect, not bad input")
+
+        monkeypatch.setattr("finitetop.cli.report", broken)
+        assert run(["report", write(tmp_path, "s.space", SIERP_TEXT)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "a defect, not bad input" in err
 
     def test_dot_command(self, tmp_path, capsys):
         f = write(tmp_path, "s.space", SIERP_TEXT)

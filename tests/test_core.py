@@ -1,5 +1,9 @@
+from math import factorial
+
 import pytest
 
+from finitetop._refine import canonical_order
+from finitetop.census import enumerate_spaces
 from finitetop.core import (
     PointSet,
     Space,
@@ -21,11 +25,12 @@ from finitetop.errors import (
     NotReflexive,
     NotTransitive,
     ReflexivityViolation,
+    SearchBudgetExceeded,
     TooManyOpenSets,
 )
-from finitetop.generators import chain, discrete, indiscrete
+from finitetop.generators import blocks, chain, discrete, indiscrete
 
-from oracles import homeomorphic_bruteforce, open_masks_by_definition
+from oracles import all_isomorphisms_bruteforce, homeomorphic_bruteforce, open_masks_by_definition
 
 SIERP = from_neighborhoods(2, [{0}, {0, 1}])
 
@@ -273,6 +278,35 @@ class TestCanonicalForm:
         b = relabel(a, [1, 2, 0])
         assert canonical_form(a) == canonical_form(b)
         assert homeomorphic_bruteforce(a, b) is not None
+
+
+class TestCanonicalOrder:
+    def test_automorphisms_match_bruteforce(self):
+        for n in range(5):
+            for s in enumerate_spaces(n):
+                _, gens, aut = canonical_order(s.masks)
+                autos = set(all_isomorphisms_bruteforce(s, s))
+                assert aut == len(autos)
+                # the generators are automorphisms and generate all of them
+                group = {tuple(range(n))}
+                frontier = list(group)
+                for g in frontier:
+                    for h in gens:
+                        gh = tuple(h[x] for x in g)
+                        if gh not in group:
+                            group.add(gh)
+                            frontier.append(gh)
+                assert group == autos
+
+    def test_orbit_pruning_bounds_the_search(self):
+        # with twin swaps alone the search visits all 8! orders of the blocks
+        _, gens, aut = canonical_order(blocks(8, 8).masks, budget=400)
+        assert aut == factorial(8) ** 9
+        assert len(gens) < 64
+
+    def test_budget_exceeded(self):
+        with pytest.raises(SearchBudgetExceeded):
+            canonical_order(discrete(6).masks, budget=3)
 
 
 class TestRelabel:

@@ -145,6 +145,15 @@ class TestToSpaceErrors:
             SpaceDocument("S", points, nbhds).to_space()
         assert needle in str(exc.value)
 
+    def test_minimality_witnesses_named_by_label(self):
+        doc = SpaceDocument("S", ("a", "b", "c"), (("a", "b"), ("b", "c"), ("c",)))
+        with pytest.raises(ValidationError) as exc:
+            doc.to_space()
+        assert str(exc.value) == (
+            "point 'b' lies in the neighborhood of 'a', "
+            "but its own neighborhood is not contained there"
+        )
+
     def test_members_in_any_order(self):
         doc = SpaceDocument("S", ("a", "b"), (("a",), ("b", "a")))
         assert doc.to_space().masks == (1, 3)

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from finitetop.census import enumerate_spaces
 from finitetop.constructions import disjoint_sum, product, t0_quotient
 from finitetop.core import canonical_form, from_neighborhoods, relabel
 from finitetop.errors import (
@@ -9,7 +12,7 @@ from finitetop.errors import (
     NotWellDefined,
     SearchBudgetExceeded,
 )
-from finitetop.generators import blocks, chain, discrete, indiscrete
+from finitetop.generators import blocks, chain, discrete, indiscrete, random_space
 from finitetop.maps import (
     GlueData,
     SpaceMap,
@@ -131,10 +134,19 @@ class TestFindHomeomorphism:
 
     def test_returns_lexicographically_least(self):
         # blocks(2, 2) has many self-homeomorphisms; ours must be the least f
-        s = blocks(2, 2)
-        h = find_homeomorphism(s, s)
-        isos = all_isomorphisms_bruteforce(s, s)
-        assert h.f == min(isos)
+        pairs = [(blocks(2, 2), blocks(2, 2))]
+        rng = random.Random(7)
+        for n in range(5):
+            spaces = list(enumerate_spaces(n))
+            for s in spaces:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                pairs.append((s, relabel(s, perm)))
+            pairs.extend((a, b) for a in spaces[:80] for b in spaces[:80])
+        for a, b in pairs:
+            h = find_homeomorphism(a, b)
+            isos = all_isomorphisms_bruteforce(a, b)
+            assert (h.f if h else None) == (min(isos) if isos else None)
 
     def test_agrees_with_bruteforce(self):
         fixtures = [
@@ -154,9 +166,15 @@ class TestFindHomeomorphism:
         with pytest.raises(SearchBudgetExceeded):
             find_homeomorphism(discrete(6), discrete(6), budget=3)
 
-    def test_carrier_guard(self):
-        with pytest.raises(SearchBudgetExceeded):
-            find_homeomorphism(discrete(11), discrete(11))
+    def test_answers_past_the_old_guard(self):
+        h = find_homeomorphism(discrete(11), discrete(11))
+        assert h.f == tuple(range(11))
+        s = random_space(64, 1)
+        perm = list(range(64))
+        random.Random(5).shuffle(perm)
+        r = relabel(s, perm)
+        h = find_homeomorphism(s, r)
+        assert all(h.image_of(s.masks[x]) == r.masks[h.f[x]] for x in range(64))
 
     def test_empty_spaces(self):
         empty = from_neighborhoods(0, [])
