@@ -40,6 +40,53 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def image(mask: int, f: Sequence[int] | dict[int, int]) -> int:
+    """The bitmask of the points f[y] for y in mask."""
+    out = 0
+    for y in iter_bits(mask):
+        out |= 1 << f[y]
+    return out
+
+
+def owners(masks: Sequence[int]) -> dict[int, int]:
+    """Each distinct mask mapped to the bits of its owners, in first-owner order."""
+    out: dict[int, int] = {}
+    for x, m in enumerate(masks):
+        out[m] = out.get(m, 0) | 1 << x
+    return out
+
+
+def first_violation(masks: Sequence[int]) -> tuple[int, int] | None:
+    """The first (x, y) in id order with y in masks[x] and masks[y] not inside it, or None."""
+    for x, mx in enumerate(masks):
+        m = mx & ~(1 << x)  # masks[x] lies inside itself
+        while m:
+            low = m & -m
+            if masks[low.bit_length() - 1] & ~mx:
+                return x, low.bit_length() - 1
+            m ^= low
+    return None
+
+
+def closure_violation(masks: Sequence[int]) -> tuple[int, int] | None:
+    """``first_violation(masks)``, proving a valid array in near-linear time.
+
+    The array must be reflexive, or the loop may not end.  Each distinct
+    mask M is covered by its owners, then by the mask of its highest
+    uncovered member, which must lie inside M and so is a proper subset:
+    by induction on |M| every mask that passes is down-closed.  Only a
+    failure pays for the ordered scan that names the witness.
+    """
+    for m, own in owners(masks).items():
+        rest = m & ~own
+        while rest:
+            s = masks[rest.bit_length() - 1]
+            if s & ~m:
+                return first_violation(masks)
+            rest &= ~s
+    return None
+
+
 def refine_colors(
     down: Sequence[Sequence[int]],
     up: Sequence[Sequence[int]],

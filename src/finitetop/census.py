@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from math import factorial
 
-from ._refine import canonical_order
+from ._refine import canonical_order, first_violation
 from .core import Space, canonical_form
 from .errors import InternalError, InvalidArgument, TooLarge
 from .invariants import index_of, min_of
@@ -40,19 +40,7 @@ def enumerate_spaces(n: int):
         [m for m in range(1 << n) if m >> x & 1] for x in range(n)
     ]
     for masks in iproduct(*choices):
-        ok = True
-        for x in range(n):
-            mx = masks[x]
-            m = mx
-            while m:
-                low = m & -m
-                if masks[low.bit_length() - 1] & ~mx:
-                    ok = False
-                    break
-                m ^= low
-            if not ok:
-                break
-        if ok:
+        if first_violation(masks) is None:
             yield Space._of(n, masks)
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
 
-from ._refine import iter_bits
+from ._refine import image, iter_bits, owners
 from .core import PointSet, Space, is_open
 from .errors import InternalError, PartitionMismatch, SizeOverflow
 
@@ -73,10 +73,8 @@ class Partition:
         return cls(carrier_size, tuple(range(carrier_size)), carrier_size)
 
     def class_masks(self) -> list[int]:
-        masks = [0] * self.k
-        for x, c in enumerate(self.class_of):
-            masks[c] |= 1 << x
-        return masks
+        # classes are numbered by least member, i.e. in first-owner order
+        return list(owners(self.class_of).values())
 
 
 def product(a: Space, b: Space, bound: int = DEFAULT_CARRIER_BOUND) -> Space:
@@ -108,13 +106,6 @@ def product_n(spaces: Sequence[Space], bound: int = DEFAULT_CARRIER_BOUND) -> Sp
     return reduce(lambda acc, s: product(acc, s, bound), spaces)
 
 
-def _compress(mask: int, index: dict[int, int]) -> int:
-    out = 0
-    for p in iter_bits(mask):
-        out |= 1 << index[p]
-    return out
-
-
 def subspace(x: Space, a: PointSet) -> Space:
     """Subspace on the points of ``a``, re-indexed in ascending original order.
 
@@ -125,7 +116,7 @@ def subspace(x: Space, a: PointSet) -> Space:
     members = a.members()
     index = {p: i for i, p in enumerate(members)}
     n = len(members)
-    masks = tuple(_compress(x.masks[p] & a.bits, index) for p in members)
+    masks = tuple(image(x.masks[p] & a.bits, index) for p in members)
     labels = None
     if x.labels is not None:
         labels = tuple(x.labels[p] for p in members)
@@ -163,10 +154,7 @@ def quotient(x: Space, p: Partition) -> Space:
             w = hull
         if not is_open(x, PointSet(x.n, w)) or w & cmasks[c] != cmasks[c]:
             raise InternalError("saturation fixpoint produced a non-open preimage")
-        cls_bits = 0
-        for y in iter_bits(w):
-            cls_bits |= 1 << class_of[y]
-        nb.append(cls_bits)
+        nb.append(image(w, class_of))
     labels = None
     if x.labels is not None:
         grouped: list[list[str]] = [[] for _ in range(p.k)]
@@ -182,13 +170,7 @@ def t0_quotient(x: Space) -> tuple[Space, Partition]:
     Returns the quotient space together with the partition used, whose
     classes are numbered by least member.
     """
-    first: dict[int, int] = {}
-    assignment = []
-    for m in x.masks:
-        if m not in first:
-            first[m] = len(first)
-        assignment.append(first[m])
-    part = Partition.from_class_of(assignment)
+    part = Partition.from_class_of(x.masks)
     q = quotient(x, part)
     if len(set(q.masks)) != q.n:
         raise InternalError("quotient classes share a neighborhood")

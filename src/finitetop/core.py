@@ -120,6 +120,8 @@ class SubsetFamily:
     sets: tuple[PointSet, ...]
 
     def __post_init__(self) -> None:
+        if self.carrier_size < 0:
+            raise ValueError(f"negative carrier size {self.carrier_size}")
         for s in self.sets:
             if s.size != self.carrier_size:
                 raise ValueError(
@@ -172,11 +174,9 @@ class Space:
         for x in range(n):
             if not masks[x] >> x & 1:
                 raise ReflexivityViolation(x)
-        for x in range(n):
-            mx = masks[x]
-            for y in iter_bits(mx):
-                if masks[y] & ~mx:
-                    raise MinimalityViolation(x, y)
+        bad = _refine.closure_violation(masks)
+        if bad is not None:
+            raise MinimalityViolation(*bad)
         object.__setattr__(self, "labels", _checked_labels(n, self.labels))
 
     @classmethod
@@ -194,10 +194,7 @@ class Space:
     @cached_property
     def distinct_masks(self) -> tuple[int, ...]:
         """The distinct neighborhood bitmasks, in first-owner order."""
-        seen: dict[int, None] = {}
-        for m in self.masks:
-            seen.setdefault(m, None)
-        return tuple(seen)
+        return tuple(_refine.owners(self.masks))
 
     def le(self, y: int, x: int) -> bool:
         """Specialization order: y <= x iff y lies in the neighborhood of x."""
@@ -317,6 +314,8 @@ def from_preorder(
     The relation must be reflexive and transitive; nbhd[x] is the down-set
     {y : y <= x}.
     """
+    if n < 0:
+        raise ValueError(f"negative point count {n}")
     up = [0] * n
     down = [0] * n
     for a, b in leq:
@@ -327,12 +326,12 @@ def from_preorder(
     for x in range(n):
         if not up[x] >> x & 1:
             raise NotReflexive(x)
-    for a in range(n):
-        for b in iter_bits(up[a]):
-            extra = up[b] & ~up[a]
-            if extra:
-                c = (extra & -extra).bit_length() - 1
-                raise NotTransitive(a, b, c)
+    # up[a] holds every b with a <= b, so transitivity is down-closure of up.
+    bad = _refine.closure_violation(up)
+    if bad is not None:
+        a, b = bad
+        extra = up[b] & ~up[a]
+        raise NotTransitive(a, b, (extra & -extra).bit_length() - 1)
     return Space._of(n, tuple(down), _checked_labels(n, labels))
 
 
@@ -366,19 +365,11 @@ def relabel(space: Space, perm: Sequence[int]) -> Space:
     n = space.n
     if len(perm) != n or sorted(perm) != list(range(n)):
         raise ValueError("perm is not a permutation of the carrier")
-    nb = [0] * n
-    for x, m in enumerate(space.masks):
-        t = 0
-        for y in iter_bits(m):
-            t |= 1 << perm[y]
-        nb[perm[x]] = t
-    labels: tuple[str, ...] | None = None
+    order = _refine.order_map(perm, range(n))
+    labels = None
     if space.labels is not None:
-        moved = [""] * n
-        for x, lab in enumerate(space.labels):
-            moved[perm[x]] = lab
-        labels = tuple(moved)
-    return Space._of(n, tuple(nb), labels)
+        labels = tuple(space.labels[x] for x in order)
+    return Space._of(n, _refine.encode(space.masks, order), labels)
 
 
 def canonical_form(space: Space) -> Space:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _refine
 from .core import PointSet, Space
 from .errors import EmptySpace, InternalError
 
@@ -39,9 +40,7 @@ class _Classes:
 def _classify(space: Space) -> _Classes:
     """The one pass every invariant reads off; see the module docstring."""
     masks = space.masks
-    owners: dict[int, int] = {}
-    for x, m in enumerate(masks):
-        owners[m] = owners.get(m, 0) | 1 << x
+    owners = _refine.owners(masks)
     minimal = below = spoiled = 0  # below: points in a neighborhood not their own
     for e, o in owners.items():
         if e == o:

@@ -41,16 +41,10 @@ class SpaceMap:
                 raise ValueError(f"f[{x}] = {y} outside target carrier")
 
     def image_of(self, mask: int) -> int:
-        out = 0
-        for x in iter_bits(mask):
-            out |= 1 << self.f[x]
-        return out
+        return _refine.image(mask, self.f)
 
     def image_bits(self) -> int:
-        out = 0
-        for y in self.f:
-            out |= 1 << y
-        return out
+        return _refine.image((1 << self.source.n) - 1, self.f)
 
 
 def is_continuous(m: SpaceMap) -> bool:
@@ -236,31 +230,27 @@ def _validate_glue(x: Space, y: Space, g: GlueData) -> list[dict[int, int]]:
 def glue(x: Space, y: Space, g: GlueData) -> SpaceMap:
     """Assemble a homeomorphism from a neighborhood bijection and local maps.
 
-    Overlapping neighborhoods must agree pointwise where they meet, which
-    is what makes the assembled map well defined (and makes the overlap
-    images coincide setwise); a conflict raises NotWellDefined with the
-    offending point.  The assembled map is then verified to be a
-    homeomorphism outright; ResultNotHomeomorphism is raised otherwise,
-    so a returned map is correct unconditionally.
+    One pass over the listed neighborhoods sets f[p] from the first one
+    holding p.  Overlapping neighborhoods must agree pointwise, which is
+    what makes the map well defined; NotWellDefined names the point p of
+    the least triple (i, j, p) where listed neighborhoods i < j disagree
+    (i is then the first one holding p).  The assembled map is verified
+    to be a homeomorphism outright; ResultNotHomeomorphism is raised
+    otherwise, so a returned map is correct unconditionally.
     """
-    locals_ = _validate_glue(x, y, g)
-    reps = [r for r, _ in g.neighborhood_bijection]
-    k = len(reps)
-    for i in range(k):
-        for j in range(i + 1, k):
-            overlap = x.masks[reps[i]] & x.masks[reps[j]]
-            if not overlap:
-                continue
-            for p in iter_bits(overlap):
-                if locals_[i][p] != locals_[j][p]:
-                    raise NotWellDefined(p)
-
+    locals_ = _validate_glue(x, y, g)  # every point's own neighborhood is listed
     f = [-1] * x.n
-    for i, r in enumerate(reps):
+    first = [-1] * x.n  # the first listed neighborhood holding each point
+    clashes = []
+    for j, (r, _) in enumerate(g.neighborhood_bijection):
+        local = locals_[j]
         for p in iter_bits(x.masks[r]):
-            f[p] = locals_[i][p]
-    if -1 in f:
-        raise InvalidGlueData(f"point {f.index(-1)} is covered by no listed neighborhood")
+            if first[p] < 0:
+                f[p], first[p] = local[p], j
+            elif local[p] != f[p]:
+                clashes.append((first[p], j, p))
+    if clashes:
+        raise NotWellDefined(min(clashes)[2])
     if x.n != y.n or not _is_structure_isomorphism(x, y, f):
         raise ResultNotHomeomorphism()
     return SpaceMap(x, y, tuple(f))

@@ -208,3 +208,42 @@ def continuous_by_preimage(src: Space, dst: Space, f: tuple[int, ...]) -> bool:
         if pre not in opens:
             return False
     return True
+
+
+def first_violation_by_sets(masks: list[int]) -> tuple[int, int] | None:
+    """The first (x, y) in id order with y in S(x) but S(y) not a subset of S(x)."""
+    sets = [set(bits_of(m)) for m in masks]
+    for x, sx in enumerate(sets):
+        for y in sorted(sx):
+            if not sets[y] <= sx:
+                return x, y
+    return None
+
+
+def first_intransitive_triple(n: int, pairs) -> tuple[int, int, int] | None:
+    """The least (a, b, c) with a <= b and b <= c in the relation but not a <= c."""
+    rel = set(pairs)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if (a, b) in rel and (b, c) in rel and (a, c) not in rel:
+                    return a, b, c
+    return None
+
+
+def glue_conflict_pairwise(x: Space, reps: list[int], locals_: list[dict[int, int]]) -> int | None:
+    """The point where two local maps first disagree, by the pairwise overlap loop.
+
+    This is the loop ``maps.glue`` ran before it made one pass, kept as
+    the reference for the point that NotWellDefined names.
+    """
+    k = len(reps)
+    for i in range(k):
+        for j in range(i + 1, k):
+            overlap = x.masks[reps[i]] & x.masks[reps[j]]
+            if not overlap:
+                continue
+            for p in bits_of(overlap):
+                if locals_[i][p] != locals_[j][p]:
+                    return p
+    return None

@@ -139,6 +139,13 @@ class TestFromBasis:
             if member.bits in s.masks:
                 assert is_open(s, member)
 
+    def test_negative_carrier_rejected(self):
+        # The family never exists, so from_basis and from_open_family
+        # cannot build a space with a negative point count from it.
+        for make in (lambda: SubsetFamily(-1, ()), lambda: SubsetFamily.of(-1, [])):
+            with pytest.raises(ValueError, match="negative carrier size -1"):
+                make()
+
     def test_duplicates_deduplicated(self):
         s = from_basis(SubsetFamily.of(1, [{0}, {0}, {0}]))
         assert s.n == 1
@@ -188,6 +195,10 @@ class TestFromPreorder:
         with pytest.raises(NotReflexive) as exc:
             from_preorder(2, [(0, 0), (0, 1)])
         assert exc.value.point == 1
+
+    def test_negative_point_count_rejected(self):
+        with pytest.raises(ValueError, match="negative point count -1"):
+            from_preorder(-1, [])
 
     def test_labels_checked(self):
         pairs = [(0, 0), (1, 1), (0, 1)]
