@@ -121,9 +121,7 @@ def _check_label(label: str) -> None:
 
 
 def space_to_document(space: Space, name: str) -> SpaceDocument:
-    labels = space.labels if space.labels is not None else tuple(
-        f"p{i}" for i in range(space.n)
-    )
+    labels = tuple(map(space.label_of, range(space.n)))
     nbhds = tuple(tuple(labels[y] for y in iter_bits(m)) for m in space.masks)
     return SpaceDocument(name, labels, nbhds)
 
@@ -142,17 +140,14 @@ def serialize(doc: SpaceDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tokens(line: str):
-    return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
-
-
 def _fail(lineno: int, raw: str, i: int, message: str) -> NoReturn:
     """Raise a ParseError at token ``i`` of the line; columns are found only here.
 
     ``raw.split()`` and ``_TOKEN_RE`` split on the same characters, so
     token ``i`` of the one is token ``i`` of the other.
     """
-    raise ParseError(lineno, _tokens(raw)[i][1], message)
+    starts = [m.start() + 1 for m in _TOKEN_RE.finditer(raw)]
+    raise ParseError(lineno, starts[i], message)
 
 
 def parse(text: str) -> SpaceDocument:
@@ -236,25 +231,25 @@ def parse_glue(text: str, src: SpaceDocument, dst: SpaceDocument) -> GlueData:
     pairs: list[tuple[int, int]] = []
     local: list[dict[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokens(raw)
-        if not toks or toks[0][0].startswith("#"):
+        toks = raw.split()
+        if not toks or toks[0].startswith("#"):
             continue
-        head, col = toks[0]
+        head = toks[0]
         if head not in ("pair", "send"):
-            raise ParseError(lineno, col, f"unknown record {head!r}")
+            _fail(lineno, raw, 0, f"unknown record {head!r}")
         if len(toks) != 3:
-            raise ParseError(lineno, col, f"expected: {head} SOURCE TARGET")
-        (a, acol), (b, bcol) = toks[1], toks[2]
+            _fail(lineno, raw, 0, f"expected: {head} SOURCE TARGET")
+        a, b = toks[1], toks[2]
         if a not in src_index:
-            raise ParseError(lineno, acol, f"undeclared source point {a!r}")
+            _fail(lineno, raw, 1, f"undeclared source point {a!r}")
         if b not in dst_index:
-            raise ParseError(lineno, bcol, f"undeclared target point {b!r}")
+            _fail(lineno, raw, 2, f"undeclared target point {b!r}")
         if head == "pair":
             pairs.append((src_index[a], dst_index[b]))
             local.append({})
         else:
             if not pairs:
-                raise ParseError(lineno, col, "send record before any pair record")
+                _fail(lineno, raw, 0, "send record before any pair record")
             local[-1][src_index[a]] = dst_index[b]
     return GlueData.build(pairs, local)
 
@@ -269,29 +264,32 @@ def to_dot(space: Space) -> str:
     One node per point, labeled with its name and neighborhood size;
     basic points are drawn with a double border.  Edges y -> x cover the
     relation "y below x", reduced so only immediate steps remain; points
-    with equal neighborhoods keep their mutual edges.
+    with equal neighborhoods keep their mutual edges.  From the owners
+    map, strict[x] is S(x) minus x's class; y -> x is drawn for each
+    y != x in S(x) that lies in no strict[z] with z in strict[x].
     """
     lines = ["digraph space {", "  rankdir=BT;"]
-    basic = _classify(space).basic
+    classes = _classify(space)
     masks = space.masks
+    strict = [0] * space.n
+    for e, o in classes.owners.items():
+        for x in iter_bits(o):
+            strict[x] = e & ~o
     for x in range(space.n):
         attrs = [f'label="{space.label_of(x)} ({masks[x].bit_count()})"']
-        if basic >> x & 1:
+        if classes.basic >> x & 1:
             attrs.append("peripheries=2")
         lines.append(f"  p{x} [{', '.join(attrs)}];")
     for x in range(space.n):
-        for y in iter_bits(masks[x]):
-            if y == x:
-                continue
-            keep = True
-            for z in iter_bits(masks[x]):
-                if z in (x, y):
-                    continue
-                if masks[z] >> y & 1 and masks[z] not in (masks[x], masks[y]):
-                    keep = False
-                    break
-            if keep:
-                lines.append(f"  p{y} -> p{x};")
+        # Every w in strict[z] has strict[w] inside strict[z], so picking
+        # z settles all of strict[z] at once.
+        rest, dropped = strict[x], 0
+        while rest:
+            z = rest.bit_length() - 1
+            dropped |= strict[z]
+            rest &= ~(strict[z] | 1 << z)
+        for y in iter_bits(masks[x] & ~dropped & ~(1 << x)):
+            lines.append(f"  p{y} -> p{x};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -461,7 +459,7 @@ def _cmd_glue(args: argparse.Namespace) -> int:
     try:
         h = glue(a, b, data)
     except (NotWellDefined, ResultNotHomeomorphism) as err:
-        print(f"rejected: {type(err).__name__}: {err}")
+        print(f"rejected: {type(err).__name__}: {_relabel_error(err, da.points)}")
         return 1
     for x, y in enumerate(h.f):
         print(f"{a.label_of(x)} -> {b.label_of(y)}")
@@ -475,8 +473,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _generator_spec(args: argparse.Namespace) -> GeneratorSpec:
     kind, params = args.kind, args.params
-    if kind not in GENERATOR_KINDS:
-        raise ValidationError(f"unknown generator kind {kind!r}")
     row = GENERATOR_KINDS[kind]
     if len(params) != len(row.params):
         raise ValidationError(

@@ -152,7 +152,11 @@ class NotWellDefined(FinitetopError):
 
     def __init__(self, point: int):
         self.point = point
-        super().__init__(f"local maps disagree at point {point}")
+        super().__init__(self.describe(str))
+
+    def describe(self, name: Callable[[int], str]) -> str:
+        """The message with the witness point written as ``name(point)``."""
+        return f"local maps disagree at point {name(self.point)}"
 
 
 class ResultNotHomeomorphism(FinitetopError):

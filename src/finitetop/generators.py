@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Space, from_preorder
+from .core import Space
 from .errors import InvalidArgument
 
 
@@ -43,13 +43,10 @@ def divisor(bound: int, with_top: bool = False) -> Space:
     if bound < 1:
         raise InvalidArgument("divisor needs a positive bound")
     n = bound + 1 if with_top else bound
-    nb = []
-    for m in range(1, bound + 1):
-        bits = 0
-        for d in range(1, m + 1):
-            if m % d == 0:
-                bits |= 1 << (d - 1)
-        nb.append(bits)
+    nb = [0] * bound
+    for d in range(1, bound + 1):
+        for m in range(d - 1, bound, d):
+            nb[m] |= 1 << (d - 1)
     labels = [str(m) for m in range(1, bound + 1)]
     if with_top:
         nb.append((1 << n) - 1)
@@ -73,10 +70,11 @@ def random_space(n: int, seed: int, density: float = 0.5) -> Space:
     """Seeded random space; identical arguments give identical output.
 
     Draws each index pair (i, j) with i < j as a strict relation with
-    probability ``density``, closes reflexively and transitively, then
-    renames the points by a seeded shuffle so structure is not aligned
-    with index order.  Density 0 gives the discrete space, density 1 a
-    renamed chain.
+    probability ``density``, then renames the points by a seeded shuffle
+    so structure is not aligned with index order.  Neighborhoods are
+    written under the new names in index order, each the union of its
+    point and the finished neighborhoods of the points drawn below it.
+    Density 0 gives the discrete space, density 1 a renamed chain.
     """
     if n < 0:
         raise InvalidArgument("negative size")
@@ -86,22 +84,16 @@ def random_space(n: int, seed: int, density: float = 0.5) -> Space:
     up_edges = [
         [j for j in range(i + 1, n) if rng.random() < density] for i in range(n)
     ]
-    reach = [0] * n
-    for i in reversed(range(n)):
-        r = 1 << i
-        for j in up_edges[i]:
-            r |= reach[j]
-        reach[i] = r
     perm = list(range(n))
     rng.shuffle(perm)
-    pairs = []
-    for i in range(n):
-        m = reach[i]
-        while m:
-            low = m & -m
-            pairs.append((perm[i], perm[low.bit_length() - 1]))
-            m ^= low
-    return from_preorder(n, pairs)
+    down = [1 << p for p in perm]
+    for i, ups in enumerate(up_edges):
+        for j in ups:
+            down[j] |= down[i]
+    masks = [0] * n
+    for j, p in enumerate(perm):
+        masks[p] = down[j]
+    return Space._of(n, tuple(masks))
 
 
 @dataclass(frozen=True)

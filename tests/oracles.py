@@ -8,6 +8,7 @@ paths.  Only usable at small sizes.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations, product
 
 from finitetop.core import Space
@@ -247,3 +248,63 @@ def glue_conflict_pairwise(x: Space, reps: list[int], locals_: list[dict[int, in
                 if locals_[i][p] != locals_[j][p]:
                     return p
     return None
+
+
+def hasse_edges_pairwise(masks: list[int]) -> list[tuple[int, int]]:
+    """The (y, x) cover edges DOT draws, by the triple loop ``to_dot`` once ran.
+
+    y -> x is kept unless some z in S(x) other than x and y has y in S(z)
+    and S(z) equal to neither S(x) nor S(y).
+    """
+    edges = []
+    for x in range(len(masks)):
+        for y in bits_of(masks[x]):
+            if y == x:
+                continue
+            keep = True
+            for z in bits_of(masks[x]):
+                if z in (x, y):
+                    continue
+                if masks[z] >> y & 1 and masks[z] not in (masks[x], masks[y]):
+                    keep = False
+                    break
+            if keep:
+                edges.append((y, x))
+    return edges
+
+
+def divisor_masks_by_trial_division(bound: int) -> list[int]:
+    """Mask of point m - 1 holds bit d - 1 for every d in 1..m dividing m."""
+    return [
+        sum(1 << (d - 1) for d in range(1, m + 1) if m % d == 0)
+        for m in range(1, bound + 1)
+    ]
+
+
+def random_space_masks_by_warshall(n: int, seed: int, density: float) -> list[int]:
+    """``random_space``'s masks from its documented draws and a Warshall closure.
+
+    Replays the draws (every pair i < j in row order, then one shuffle of
+    the ids), closes the relation as a boolean matrix, and gives the
+    point renamed perm[j] the renamed members of the down-set of j.
+    """
+    rng = random.Random(seed)
+    up_edges = [[j for j in range(i + 1, n) if rng.random() < density] for i in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for i, ups in enumerate(up_edges):
+        for j in ups:
+            leq[i][j] = True
+    for k in range(n):
+        for i in range(n):
+            if leq[i][k]:
+                for j in range(n):
+                    if leq[k][j]:
+                        leq[i][j] = True
+    masks = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if leq[i][j]:
+                masks[perm[j]] |= 1 << perm[i]
+    return masks

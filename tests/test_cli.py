@@ -241,6 +241,17 @@ class TestRun:
         assert run(["glue", f, f, "--data", bad]) == 1
         assert "NotWellDefined" in capsys.readouterr().out
 
+    def test_glue_rejection_names_the_point_by_label(self, tmp_path, capsys):
+        f = write(tmp_path, "v.space", "space V\npoints a b c\nnbhd a: a\nnbhd b: a b\nnbhd c: a c\n")
+        data = write(
+            tmp_path, "clash.glue",
+            "pair a a\nsend a a\npair b b\nsend a a\nsend b b\npair c c\nsend a c\nsend c a\n",
+        )
+        assert run(["glue", f, f, "--data", data]) == 1
+        assert capsys.readouterr().out == (
+            "rejected: NotWellDefined: local maps disagree at point 'a'\n"
+        )
+
     def test_gen_kinds(self, capsys):
         for argv in (
             ["gen", "chain", "4"],

@@ -3,7 +3,8 @@
 ``Space._of`` skips validation and is meant only for output that is valid
 by construction.  Every space the CLI builds from a document must pass
 through ``Space(...)`` or ``from_neighborhoods``, and no ``__all__`` may
-offer ``_of`` to users of the package.
+offer ``_of`` to users of the package.  Conversely, the generators build
+their output, valid by construction, only through ``Space._of``.
 """
 
 import ast
@@ -50,3 +51,19 @@ def test_all_does_not_export_private_constructor():
                 if isinstance(elt, ast.Constant) and PRIVATE in str(elt.value).split("."):
                     offenders.append(f"{path.name}:{elt.lineno}")
     assert offenders == []
+
+
+VALIDATING = {"from_preorder", "from_neighborhoods", "from_basis", "from_open_family"}
+
+
+def test_generators_never_revalidate():
+    tree = ast.parse((PACKAGE / "generators.py").read_text(encoding="utf-8"))
+    named = [(name, line) for name, line in _names(tree) if name in VALIDATING]
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Space"
+    ]
+    assert named == [] and calls == []
