@@ -1,4 +1,4 @@
-"""Color refinement and the individualization–refinement search.
+"""Color refinement, the individualization–refinement search and stabilizer chains.
 
 Works on raw bitmask arrays (``masks[x]`` = members of the minimal
 neighborhood of ``x``) so it can be shared by canonical forms, the
@@ -10,26 +10,15 @@ fingerprints, and a refinement keeps the order of the colors it splits.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import Counter
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
-from .errors import SearchBudgetExceeded
+from .errors import InternalError, SearchBudgetExceeded
 
 #: Individualizations one search may make before it gives up.
 DEFAULT_SEARCH_BUDGET = 10_000_000
-
-
-def up_masks(masks: Sequence[int]) -> list[int]:
-    """For each point y, the bitmask of points z with y in masks[z]."""
-    ups = [0] * len(masks)
-    for z, m in enumerate(masks):
-        bit = 1 << z
-        mm = m
-        while mm:
-            low = mm & -mm
-            ups[low.bit_length() - 1] |= bit
-            mm ^= low
-    return ups
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -144,18 +133,17 @@ def _swap_bits(mask: int, p: int, q: int) -> int:
     return mask
 
 
-def encode(masks: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
-    """The mask table relabeled so that point order[i] becomes i."""
-    pos = [0] * len(order)
+def encode(down: Sequence[Iterable[int]], order: Sequence[int]) -> tuple[int, ...]:
+    """The mask table relabeled so that point order[i] becomes i.
+
+    ``down[x]`` lists the members of S(x); each row is the sum of the
+    new bits of its members, which are distinct powers of two.
+    """
+    posbit = [0] * len(order)
     for new, old in enumerate(order):
-        pos[old] = new
-    rows = []
-    for old in order:
-        r = 0
-        for y in iter_bits(masks[old]):
-            r |= 1 << pos[y]
-        rows.append(r)
-    return tuple(rows)
+        posbit[old] = 1 << new
+    bit = posbit.__getitem__
+    return tuple([sum(map(bit, down[old])) for old in order])
 
 
 def order_map(src: Sequence[int], dst: Sequence[int]) -> list[int]:
@@ -173,20 +161,34 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def canonical_order(
-    masks: Sequence[int],
-    fixed: Sequence[int] = (),
-    budget: int = DEFAULT_SEARCH_BUDGET,
-) -> tuple[tuple[int, ...], list[tuple[int, ...]], int]:
-    """The canonical order of the points, generators of Aut and |Aut|.
+@dataclass(frozen=True)
+class SearchResult:
+    """What one canonical search found; unpacks as (order, generators, aut)."""
 
-    The points of ``fixed`` are individualized first, in that order, so
-    the automorphisms are those that fix each of them.  Points are then
-    arranged by refined color; a tied cell (the least tied color) is
-    split by individualizing each candidate in turn, depth first with an
-    explicit stack, and the order kept is the leaf with the
+    #: order[i] is the point that becomes i in the canonical form.
+    order: tuple[int, ...]
+    #: Automorphisms that generate Aut.
+    generators: tuple[tuple[int, ...], ...]
+    #: |Aut|.
+    aut: int
+    #: The mask table relabeled by ``order``: the canonical form's masks.
+    encoding: tuple[int, ...]
+
+    def __iter__(self) -> Iterator:
+        return iter((self.order, self.generators, self.aut))
+
+
+def canonical_order(masks: Sequence[int], budget: int = DEFAULT_SEARCH_BUDGET) -> SearchResult:
+    """The canonical order of the points, generators of Aut, |Aut| and the canonical table.
+
+    Points are arranged by refined color; a tied cell (the least tied
+    color) is split by individualizing each candidate in turn, depth
+    first with an explicit stack, and the order kept is the leaf with the
     lexicographically least relabeled mask table (``encode``), which
-    depends only on the structure, never on the incoming numbering.
+    depends only on the structure, never on the incoming numbering.  The
+    member lists S(x) are built once, the lists of points above each
+    point are read off them in the same pass, and every leaf is encoded
+    from them; the winning leaf's table is returned as ``encoding``.
 
     A leaf whose table equals the first or the best leaf's yields an
     automorphism; one equal to the first leaf sends the walk back to the
@@ -199,13 +201,17 @@ def canonical_order(
     """
     n = len(masks)
     if n <= 1:
-        return tuple(range(n)), [], 1
-    ups = up_masks(masks)
-    down = [list(iter_bits(m)) for m in masks]
-    up = [list(iter_bits(m)) for m in ups]
+        return SearchResult(tuple(range(n)), (), 1, tuple(masks))
+    down: list[list[int]] = []
+    up: list[list[int]] = [[] for _ in range(n)]
+    for z, m in enumerate(masks):
+        ys = list(iter_bits(m))
+        down.append(ys)
+        for y in ys:
+            up[y].append(z)
+    bit = [1 << z for z in range(n)].__getitem__
+    ups = [sum(map(bit, zs)) for zs in up]
     colors = refine_colors(down, up)
-    for p in fixed:
-        colors = _individualize(down, up, colors, p)
 
     gens: list[tuple[int, ...]] = []
     # Orbits are union-find arrays over the generators that stabilize a
@@ -246,7 +252,7 @@ def canonical_order(
                 stack.append([node, cell, 0, [], shared if first_enc is None else None])
             else:
                 order = order_map(node, range(n))
-                enc = encode(masks, order)
+                enc = encode(down, order)
                 if first_enc is None:
                     first_enc, first_order = enc, order
                     best_enc, best_order, best_path = enc, order, path[:]
@@ -301,4 +307,109 @@ def canonical_order(
         del path[depth:]
         path.append(p)
         node = _individualize(down, up, colors, p)
-    return tuple(best_order), gens, aut
+    return SearchResult(tuple(best_order), tuple(gens), aut, best_enc)
+
+
+def stabilizer_chain(
+    gens: Sequence[Sequence[int]], base: Sequence[int], order: int
+) -> tuple[list[list[int]], list[dict[int, tuple[int, int]]]]:
+    """A stabilizer chain of the group generated by ``gens``, along ``base``.
+
+    ``base`` lists every point once and ``order`` is the group's order.
+    Returns the strong generators and one Schreier tree per level:
+    ``trees[i]`` maps each point y of the basic orbit of base[i] under
+    the stabilizer of base[0..i-1] to (x, k) with strong[k][x] = y, and
+    base[i] to (base[i], -1).  The coset representative u_y, which sends
+    base[i] to y, is strong[k] composed after u_x.
+
+    Deterministic Schreier–Sims (Sims 1970; Seress, *Permutation Group
+    Algorithms*, 2003), from the deepest level up: each Schreier
+    generator of a level is sifted through the levels below, and one that
+    does not sift to the identity joins the levels whose base points it
+    fixes, whose trees then grow; work resumes at the deepest of them.
+    Sifting visits only the levels whose orbit has grown past the base
+    point: the others fix every base point, so the element left over is
+    the identity exactly when it equals it.  A level's Schreier
+    generators are sifted once each, since a tree grows only by new
+    points.  The product of the basic-orbit sizes never exceeds ``order``
+    and reaches it only when every basic orbit is complete, so the chain
+    is done as soon as it does.  Running out of Schreier generators first
+    means ``gens`` do not generate a group of that order, and raises
+    InternalError.
+    """
+    n = len(base)
+    identity = list(range(n))
+    strong: list[list[int]] = []
+    inverse: list[list[int]] = []
+    level_gens: list[list[int]] = [[] for _ in range(n)]
+    trees = [{b: (b, -1)} for b in base]
+    grown: list[int] = []  # levels whose tree holds more than the base point, ascending
+    sifted: list[set[tuple[int, int]]] = [set() for _ in range(n)]
+
+    def add(g: list[int], top: int) -> int:
+        """Join g != id to the levels top..j, j the first level whose base point it moves."""
+        j = next(i for i, b in enumerate(base) if g[b] != b)
+        k = len(strong)
+        strong.append(g)
+        inv = [0] * n
+        for x, y in enumerate(g):
+            inv[y] = x
+        inverse.append(inv)
+        for i in range(top, j + 1):
+            level_gens[i].append(k)
+            tree = trees[i]
+            frontier = list(tree)
+            for y in frontier:
+                for kk in level_gens[i]:
+                    z = strong[kk][y]
+                    if z not in tree:
+                        tree[z] = (y, kk)
+                        frontier.append(z)
+            if len(frontier) > 1 and i not in grown:
+                insort(grown, i)
+        return j
+
+    def sift(g: list[int], i: int) -> list[int] | None:
+        """g stripped through the levels from i on; None if nothing is left."""
+        for j in grown[bisect_left(grown, i) :]:
+            level, b = trees[j], base[j]
+            z = g[b]
+            if z not in level:
+                return g
+            while z != b:
+                z, k = level[z]
+                g = list(map(inverse[k].__getitem__, g))
+        return None if g == identity else g
+
+    def size() -> int:
+        total = 1
+        for j in grown:
+            total *= len(trees[j])
+        return total
+
+    for g in gens:
+        if list(g) != identity:
+            add(list(g), 0)
+    i = n - 1
+    while i >= 0 and size() != order:
+        tree, done, b = trees[i], sifted[i], base[i]
+        for y, k in ((y, k) for y in tree for k in level_gens[i]):
+            if (y, k) in done:
+                continue
+            done.add((y, k))
+            # The Schreier generator u_z^-1 ∘ strong[k] ∘ u_y, z = strong[k][y];
+            # sifting strips the u_z^-1.
+            g = strong[k]
+            x = y
+            while x != b:
+                x, kk = tree[x]
+                g = list(map(g.__getitem__, strong[kk]))
+            residue = sift(g, i)
+            if residue is not None:
+                i = add(residue, i + 1)
+                break
+        else:
+            i -= 1
+    if size() != order:
+        raise InternalError("automorphism generators do not generate a group of the stated order")
+    return strong, trees

@@ -250,6 +250,8 @@ def parse_glue(text: str, src: SpaceDocument, dst: SpaceDocument) -> GlueData:
         else:
             if not pairs:
                 _fail(lineno, raw, 0, "send record before any pair record")
+            if src_index[a] in local[-1]:
+                _fail(lineno, raw, 1, f"source point {a!r} is sent twice for this pair")
             local[-1][src_index[a]] = dst_index[b]
     return GlueData.build(pairs, local)
 

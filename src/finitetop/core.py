@@ -369,7 +369,8 @@ def relabel(space: Space, perm: Sequence[int]) -> Space:
     labels = None
     if space.labels is not None:
         labels = tuple(space.labels[x] for x in order)
-    return Space._of(n, _refine.encode(space.masks, order), labels)
+    down = [list(iter_bits(m)) for m in space.masks]
+    return Space._of(n, _refine.encode(down, order), labels)
 
 
 def canonical_form(space: Space) -> Space:
@@ -383,5 +384,4 @@ def canonical_form(space: Space) -> Space:
     Equal canonical forms therefore imply the inputs are homeomorphic.
     Labels are dropped: the canonical form identifies pure structure.
     """
-    order, _, _ = _refine.canonical_order(space.masks)
-    return Space._of(space.n, _refine.encode(space.masks, order))
+    return Space._of(space.n, _refine.canonical_order(space.masks).encoding)

@@ -115,44 +115,36 @@ def find_homeomorphism(
 ) -> SpaceMap | None:
     """The lexicographically least homeomorphism from a to b (by its f array), or None.
 
-    Unequal canonical forms answer None at once.  Otherwise the two
-    canonical orders give one homeomorphism f, and every other one is f
-    followed by an automorphism of b.  For x = 0, 1, ... in turn, f[x]
-    moves to the least point of its orbit under the automorphisms that
-    fix f[0..x-1]; the canonical search reruns on b with f[0..x] pinned
-    only when that orbit has more than one point.  Each search runs under
-    its own node budget (SearchBudgetExceeded).
+    One canonical search runs on each side, under its own node budget
+    (SearchBudgetExceeded).  Unequal canonical tables answer None at
+    once.  Otherwise the two canonical orders give one homeomorphism f,
+    and the others are h ∘ f for h in Aut(b).  A stabilizer chain of
+    Aut(b) with base f[0], f[1], ... is built once from the search's
+    generators (``_refine.stabilizer_chain``).  Every h in Aut(b) is
+    u_0 ∘ u_1 ∘ ... with u_x a coset representative of level x, and the
+    later factors fix f[x], so (h ∘ f)[x] depends on u_0..u_x alone:
+    level by level, the representative u_y whose y the product so far
+    sends lowest gives the least image of f[x], and the product after
+    the last level gives the least map.
     """
     if a.n != b.n:
         return None
     n = a.n
     if n == 0:
         return SpaceMap(a, b, ())
-    order_a, _, _ = _refine.canonical_order(a.masks, budget=budget)
-    order_b, gens, _ = _refine.canonical_order(b.masks, budget=budget)
-    if _refine.encode(a.masks, order_a) != _refine.encode(b.masks, order_b):
+    ra = _refine.canonical_order(a.masks, budget=budget)
+    rb = _refine.canonical_order(b.masks, budget=budget)
+    if ra.encoding != rb.encoding:
         return None
-    f = _refine.order_map(order_a, order_b)
-    for x in range(n):
-        # breadth-first orbit of f[x], with the generator that reached each point
-        via = {f[x]: (-1, -1)}
-        frontier = [f[x]]
-        for y in frontier:
-            for i, g in enumerate(gens):
-                if g[y] not in via:
-                    via[g[y]] = (y, i)
-                    frontier.append(g[y])
-        if len(via) == 1:
-            continue
-        least = min(via)
-        steps = []
-        y = least
-        while y != f[x]:
-            y, i = via[y]
-            steps.append(gens[i])
-        for g in reversed(steps):
-            f = [g[v] for v in f]
-        _, gens, _ = _refine.canonical_order(b.masks, fixed=f[: x + 1], budget=budget)
+    f = _refine.order_map(ra.order, rb.order)
+    strong, trees = _refine.stabilizer_chain(rb.generators, f, rb.aut)
+    h = list(range(n))
+    for tree in trees:
+        y, k = tree[min(tree, key=h.__getitem__)]
+        while k >= 0:  # h ← h ∘ u_y, one tree edge at a time
+            h = list(map(h.__getitem__, strong[k]))
+            y, k = tree[y]
+    f = [h[y] for y in f]
     if not _is_structure_isomorphism(a, b, f):
         raise InternalError("search returned a map that is not a homeomorphism")
     return SpaceMap(a, b, tuple(f))

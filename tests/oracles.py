@@ -308,3 +308,49 @@ def random_space_masks_by_warshall(n: int, seed: int, density: float) -> list[in
             if leq[i][j]:
                 masks[perm[j]] |= 1 << perm[i]
     return masks
+
+
+def least_isomorphism_backtracking(
+    a_masks: list[int], b_masks: list[int], budget: int
+) -> tuple[int, ...] | None:
+    """The least f (as a tuple) with f(S(x)) = S(f(x)) for every x, or None.
+
+    Assigns x = 0, 1, ... in order and tries targets ascending, keeping a
+    target only when |S| agrees and membership agrees, both ways, with
+    every point already assigned; the first complete map is therefore
+    the least.  More than ``budget`` kept assignments raise RuntimeError.
+    """
+    n = len(a_masks)
+    if n != len(b_masks):
+        return None
+    f: list[int] = []
+    used = [False] * n
+    spent = 0
+
+    def fits(x: int, y: int) -> bool:
+        if used[y] or a_masks[x].bit_count() != b_masks[y].bit_count():
+            return False
+        return all(
+            (a_masks[x] >> x2 & 1) == (b_masks[y] >> y2 & 1)
+            and (a_masks[x2] >> x & 1) == (b_masks[y2] >> y & 1)
+            for x2, y2 in enumerate(f)
+        )
+
+    def extend(x: int) -> bool:
+        nonlocal spent
+        if x == n:
+            return True
+        for y in range(n):
+            if fits(x, y):
+                spent += 1
+                if spent > budget:
+                    raise RuntimeError(f"backtracking budget {budget} exceeded")
+                f.append(y)
+                used[y] = True
+                if extend(x + 1):
+                    return True
+                f.pop()
+                used[y] = False
+        return False
+
+    return tuple(f) if extend(0) else None

@@ -128,6 +128,13 @@ class TestGlueFile:
         with pytest.raises(ParseError):
             parse_glue("pair a z\n", src, src)
 
+    def test_repeated_send_names_the_source_token(self):
+        src = parse(SIERP_TEXT)
+        with pytest.raises(ParseError) as exc:
+            parse_glue("pair b b\nsend a a\n  send   a b\nsend b b\n", src, src)
+        assert (exc.value.line, exc.value.column) == (3, 10)
+        assert "'a'" in str(exc.value)
+
 
 class TestRun:
     def test_validate_ok(self, tmp_path, capsys):
@@ -251,6 +258,17 @@ class TestRun:
         assert capsys.readouterr().out == (
             "rejected: NotWellDefined: local maps disagree at point 'a'\n"
         )
+
+    def test_glue_rejects_a_source_point_sent_twice(self, tmp_path, capsys):
+        f = write(tmp_path, "v.space", "space V\npoints a b c\nnbhd a: a\nnbhd b: a b\nnbhd c: a c\n")
+        data = write(
+            tmp_path, "twice.glue",
+            "pair a a\nsend a a\npair b b\nsend a a\nsend b c\nsend b b\npair c c\nsend a a\nsend c c\n",
+        )
+        assert run(["glue", f, f, "--data", data]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 6, column 6: source point 'b' is sent twice for this pair\n"
 
     def test_gen_kinds(self, capsys):
         for argv in (

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import finitetop._refine as refine
+
 from finitetop.census import enumerate_spaces
 from finitetop.constructions import disjoint_sum, product, t0_quotient
 from finitetop.core import canonical_form, from_neighborhoods, relabel
@@ -10,6 +12,7 @@ from finitetop.errors import (
     NotContinuous,
     NotOpen,
     NotWellDefined,
+    InternalError,
     SearchBudgetExceeded,
 )
 from finitetop.generators import blocks, chain, discrete, indiscrete, random_space
@@ -23,10 +26,25 @@ from finitetop.maps import (
     is_open_map,
 )
 
-from oracles import all_isomorphisms_bruteforce, homeomorphic_bruteforce
+from oracles import (
+    all_isomorphisms_bruteforce,
+    homeomorphic_bruteforce,
+    least_isomorphism_backtracking,
+)
 
 SIERP = from_neighborhoods(2, [{0}, {0, 1}])
 ONE = from_neighborhoods(1, [{0}])
+
+
+def crown(k):
+    """k minimal points and k maximal ones, max i above min i and min i + 1 (mod k)."""
+    return from_neighborhoods(2 * k, [{i} for i in range(k)] + [{k + i, i, (i + 1) % k} for i in range(k)])
+
+
+def shuffled(s, seed):
+    perm = list(range(s.n))
+    random.Random(seed).shuffle(perm)
+    return relabel(s, perm)
 
 
 class TestSpaceMap:
@@ -180,6 +198,68 @@ class TestFindHomeomorphism:
         empty = from_neighborhoods(0, [])
         h = find_homeomorphism(empty, empty)
         assert h is not None and h.f == ()
+
+
+class TestLeastMapPastBruteForce:
+    SPACES = [
+        discrete(64),
+        chain(64),
+        blocks(8, 8),
+        blocks(16, 4),
+        random_space(64, 1),
+        random_space(64, 2),
+        product(blocks(3, 2), chain(3)),
+        disjoint_sum(blocks(4, 2), blocks(4, 2)),
+        crown(7),
+    ]
+
+    @pytest.mark.parametrize("index", range(len(SPACES)))
+    def test_matches_backtracking(self, index):
+        s = self.SPACES[index]
+        for seed in range(3):
+            r1, r2 = shuffled(s, seed), shuffled(s, 100 + seed)
+            for a, b in ((s, r1), (r1, s), (r1, r2)):
+                h = find_homeomorphism(a, b)
+                assert h.f == least_isomorphism_backtracking(list(a.masks), list(b.masks), 10**6)
+
+    def test_no_answer_matches_backtracking(self):
+        a, b = product(blocks(3, 2), chain(3)), shuffled(disjoint_sum(blocks(3, 2), chain(12)), 1)
+        assert least_isomorphism_backtracking(list(a.masks), list(b.masks), 10**6) is None
+        assert find_homeomorphism(a, b) is None
+
+
+class TestOneSearchPerSide:
+    @pytest.mark.parametrize("space", [blocks(5, 2), crown(5)])
+    def test_two_searches(self, space, monkeypatch):
+        calls = []
+        search = refine.canonical_order
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(refine, "canonical_order", counted)
+        h = find_homeomorphism(space, shuffled(space, 4))
+        assert h is not None and len(calls) == 2
+
+    def test_search_result_unpacks(self):
+        result = refine.canonical_order(crown(5).masks)
+        order, gens, aut = result
+        assert (order, gens, aut) == (result.order, result.generators, result.aut)
+        assert result.encoding == canonical_form(crown(5)).masks
+
+    def test_chain_rejects_missing_generator(self):
+        # Aut of the crown is dihedral of order 10, generated by two
+        # reflections; either one alone generates a group of order 2.
+        result = refine.canonical_order(crown(5).masks)
+        base = list(range(10))
+        strong, trees = refine.stabilizer_chain(result.generators, base, result.aut)
+        assert [len(t) for t in trees if len(t) > 1] == [5, 2]
+        assert len(result.generators) == 2
+        for i in range(2):
+            rest = result.generators[:i] + result.generators[i + 1 :]
+            with pytest.raises(InternalError):
+                refine.stabilizer_chain(rest, base, result.aut)
 
 
 class TestGlue:
