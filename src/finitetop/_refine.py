@@ -37,6 +37,38 @@ def image(mask: int, f: Sequence[int] | dict[int, int]) -> int:
     return out
 
 
+#: Maps the digits of a binary string to the byte ``pack`` ORs into a dropped digit.
+_DROP_MARK = bytes.maketrans(b"01", b"\x00\x02")
+
+
+def pack(masks: Sequence[int], keep: int, n: int) -> list[int]:
+    """Each mask's bits at the members of keep, packed down in ascending order.
+
+    Equals ``image(m & keep, rank)`` with rank numbering the members of
+    keep from 0, for masks on an n-point carrier.  A mask is written as
+    one ASCII digit per bit; OR-ing 0x02 into the bytes of the dropped
+    bits turns their digits into '2' and '3', which are deleted, and the
+    rest is read back in base 2, all at C level.  When keep is the whole
+    carrier the masks come back unchanged.
+    """
+    full = (1 << n) - 1
+    if keep == full:
+        return list(masks)
+    if not keep:
+        return [0] * len(masks)
+    width = f"0{n}b"
+    drop = int.from_bytes(format(full & ~keep, width).encode().translate(_DROP_MARK), "big")
+    return [
+        int(
+            (int.from_bytes(format(m, width).encode(), "big") | drop)
+            .to_bytes(n, "big")
+            .translate(None, b"23"),
+            2,
+        )
+        for m in masks
+    ]
+
+
 def owners(masks: Sequence[int]) -> dict[int, int]:
     """Each distinct mask mapped to the bits of its owners, in first-owner order."""
     out: dict[int, int] = {}

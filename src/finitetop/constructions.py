@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
 
-from ._refine import image, iter_bits, owners
-from .core import PointSet, Space, is_open
-from .errors import InternalError, PartitionMismatch, SizeOverflow
+from ._refine import closure_violation, iter_bits, owners, pack
+from .core import PointSet, Space
+from .errors import InternalError, InvalidArgument, PartitionMismatch, SizeOverflow
 
 #: Default cap on result carriers; keeps bit-vector work fast at desk scale.
 DEFAULT_CARRIER_BOUND = 4096
@@ -29,17 +29,17 @@ class Partition:
 
     def __post_init__(self) -> None:
         if len(self.class_of) != self.carrier_size:
-            raise ValueError("class_of length differs from carrier size")
+            raise InvalidArgument("class_of length differs from carrier size")
         least: dict[int, int] = {}
         for x, c in enumerate(self.class_of):
             if not 0 <= c < self.k:
-                raise ValueError(f"class id {c} outside 0..{self.k - 1}")
+                raise InvalidArgument(f"class id {c} outside 0..{self.k - 1}")
             least.setdefault(c, x)
         if len(least) != self.k:
-            raise ValueError("some class id is never used")
+            raise InvalidArgument("some class id is never used")
         firsts = [least[c] for c in range(self.k)]
         if firsts != sorted(firsts):
-            raise ValueError("class ids are not ordered by least member")
+            raise InvalidArgument("class ids are not ordered by least member")
 
     @classmethod
     def from_class_of(cls, assignment: Sequence[int]) -> "Partition":
@@ -60,12 +60,12 @@ class Partition:
         for i, block in enumerate(blocks):
             for x in block:
                 if not 0 <= x < carrier_size:
-                    raise ValueError(f"point {x} outside carrier of size {carrier_size}")
+                    raise InvalidArgument(f"point {x} outside carrier of size {carrier_size}")
                 if assignment[x] != -1:
-                    raise ValueError(f"point {x} appears in two blocks")
+                    raise InvalidArgument(f"point {x} appears in two blocks")
                 assignment[x] = i
         if -1 in assignment:
-            raise ValueError(f"point {assignment.index(-1)} belongs to no block")
+            raise InvalidArgument(f"point {assignment.index(-1)} belongs to no block")
         return cls.from_class_of(assignment)
 
     @classmethod
@@ -102,59 +102,75 @@ def product(a: Space, b: Space, bound: int = DEFAULT_CARRIER_BOUND) -> Space:
 def product_n(spaces: Sequence[Space], bound: int = DEFAULT_CARRIER_BOUND) -> Space:
     """Left fold of binary products; flat ids are mixed-radix, leftmost most significant."""
     if not spaces:
-        raise ValueError("product of an empty list of spaces")
+        raise InvalidArgument("product of an empty list of spaces")
     return reduce(lambda acc, s: product(acc, s, bound), spaces)
 
 
 def subspace(x: Space, a: PointSet) -> Space:
     """Subspace on the points of ``a``, re-indexed in ascending original order.
 
-    Neighborhoods restrict by intersection: nbhd_A(p) = A & nbhd_X(p).
+    Neighborhoods restrict by intersection: nbhd_A(p) = A & nbhd_X(p),
+    packed onto the members of ``a`` in one step.
     """
     if a.size != x.n:
-        raise ValueError(f"carrier sizes differ: {a.size} vs {x.n}")
+        raise InvalidArgument(f"carrier sizes differ: {a.size} vs {x.n}")
     members = a.members()
-    index = {p: i for i, p in enumerate(members)}
-    n = len(members)
-    masks = tuple(image(x.masks[p] & a.bits, index) for p in members)
+    masks = tuple(pack([x.masks[p] for p in members], a.bits, x.n))
     labels = None
     if x.labels is not None:
         labels = tuple(x.labels[p] for p in members)
-    return Space._of(n, masks, labels)
+    return Space._of(len(members), masks, labels)
 
 
 def quotient(x: Space, p: Partition) -> Space:
     """Quotient space whose points are the classes of ``p``.
 
-    The neighborhood of a class c is computed by a saturation fixpoint:
-    starting from the members of c, alternately close under taking
-    neighborhoods (open hull) and under completing classes (saturation)
-    until stable.  Each round takes the neighborhoods of only the points
-    added in the round before, so the work per class is O(|W|).  The
-    stable set W is the least saturated open superset of c, so its
-    classes form the minimal open neighborhood of [c].  The openness and
-    saturation of each preimage are re-verified before the quotient is
-    returned.  Labels join the class members' labels with ``+``, dropped
+    The preimage W of the neighborhood of a class c is the least set that
+    holds c and is closed under taking neighborhoods and completing
+    classes.  It is grown from c in rounds.  A neighborhood is down-closed,
+    so the points it brings in already have theirs inside W; only the
+    points added by completing a class join the frontier whose
+    neighborhoods the next round takes, and a frontier point inside a
+    neighborhood already taken is skipped.  Classes of one point need no
+    completing, so on a T0 input each class costs one round.
+
+    The preimages are then re-verified together by ``_check_preimages``:
+    each W_c holds its class and is open and saturated, in n steps plus
+    one near-linear closure check.  Being saturated, W_c meets the
+    classes it holds at their least members, which are the class ids in
+    ascending order, so the neighborhood of c is W_c packed onto those
+    members.  Labels join the class members' labels with ``+``, dropped
     when two of them coincide.
     """
     if p.carrier_size != x.n:
         raise PartitionMismatch(x.n, p.carrier_size)
+    masks = x.masks
     cmasks = p.class_masks()
     class_of = p.class_of
-    nb = []
-    for c in range(p.k):
-        w = fresh = cmasks[c]
+    # the points whose class has other members; only they need completing
+    shared = 0
+    for cm in cmasks:
+        if cm & (cm - 1):
+            shared |= cm
+    pre = []
+    for cm in cmasks:
+        w = fresh = cm
         while fresh:
-            hull = w
-            for y in iter_bits(fresh):
-                hull |= x.masks[y]
-            for y in iter_bits(hull & ~w):
-                hull |= cmasks[class_of[y]]
-            fresh = hull & ~w
-            w = hull
-        if not is_open(x, PointSet(x.n, w)) or w & cmasks[c] != cmasks[c]:
-            raise InternalError("saturation fixpoint produced a non-open preimage")
-        nb.append(image(w, class_of))
+            grown = w
+            while fresh:
+                s = masks[fresh.bit_length() - 1]
+                grown |= s
+                fresh &= ~s
+            rest = grown & ~w & shared
+            w = grown
+            while rest:
+                d = cmasks[class_of[rest.bit_length() - 1]]
+                fresh |= d & ~w
+                w |= d
+                rest &= ~d
+        pre.append(w)
+    _check_preimages(masks, cmasks, class_of, pre)
+    nb = pack(pre, sum(cm & -cm for cm in cmasks), x.n)
     labels = None
     if x.labels is not None:
         grouped: list[list[str]] = [[] for _ in range(p.k)]
@@ -162,6 +178,35 @@ def quotient(x: Space, p: Partition) -> Space:
             grouped[c].append(x.labels[pt])
         labels = _distinct_or_none(tuple("+".join(g) for g in grouped))
     return Space._of(p.k, tuple(nb), labels)
+
+
+def _check_preimages(
+    masks: Sequence[int], cmasks: Sequence[int], class_of: Sequence[int], pre: Sequence[int]
+) -> None:
+    """Raise InternalError unless every pre[c] holds class c and is open and saturated.
+
+    With A[y] = pre[class_of[y]], the three checks are: each class lies
+    in its own preimage, S(y) lies in A[y] for every y, and A is
+    down-closed.  For z in pre[c] of class d, down-closure gives
+    pre[d] = A[z] inside pre[c], which holds S(z) and class d, so pre[c]
+    is open and saturated.  Cost: k + n mask steps and one
+    ``closure_violation``, which needs the reflexivity the first check gives.
+    """
+    for c, (cm, w) in enumerate(zip(cmasks, pre)):
+        if cm & ~w:
+            raise InternalError(f"the preimage of class {c} misses part of that class")
+    a = [pre[c] for c in class_of]
+    for y, (m, w) in enumerate(zip(masks, a)):
+        if m & ~w:
+            raise InternalError(
+                f"the preimage of the class of point {y} misses part of its neighborhood"
+            )
+    bad = closure_violation(a)
+    if bad is not None:
+        raise InternalError(
+            f"the preimage of the class of point {bad[0]} holds point {bad[1]} "
+            f"but not all of its class's preimage"
+        )
 
 
 def t0_quotient(x: Space) -> tuple[Space, Partition]:
