@@ -13,6 +13,8 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, chain, compress, count, groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalError, SearchBudgetExceeded
@@ -21,12 +23,18 @@ from .errors import InternalError, SearchBudgetExceeded
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
 
+#: Maps the digits of a binary string to the bytes 0 and 1, for ``compress``.
+_BIT = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def iter_bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of mask, least first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """The positions of the set bits of mask, least first.
+
+    The binary digits are reversed so that position i is byte i, mapped
+    to the bytes 0 and 1, and used to select from ``count()``: one pass
+    at C level, however many bits are set.
+    """
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_BIT))
 
 
 def image(mask: int, f: Sequence[int] | dict[int, int]) -> int:
@@ -118,36 +126,69 @@ def refine_colors(
     ``down[x]`` lists the members of S(x) and ``up[x]`` the points whose
     neighborhood contains x; a search builds both once.  Without
     ``initial`` the starting fingerprint of a point is (|S(x)|, sorted
-    sizes of the members' neighborhoods); rounds then fold in the sorted
-    colors of ``down[x]`` and of ``up[x]``.  Refinement only ever splits
-    color classes, so iteration stops as soon as the number of distinct
-    colors stops growing.
+    sizes of the members' neighborhoods).  Each round splits every cell
+    (a set of points of one color) by the sorted colors of ``down[x]``
+    and of ``up[x]``, sub-cells in that order, and stops once no cell
+    splits or every cell is a singleton.  The result equals re-ranking
+    all points by (color, down colors, up colors) every round, which is
+    how the colors are defined.
+
+    A round re-signs only the non-singleton cells holding a neighbor of
+    a point whose cell split in the round before: any other cell's
+    points saw their neighbors' colors renamed one-to-one and in order,
+    so they still agree.  Of each split cell a largest sub-cell is left
+    out of the next round's splitters, since a point's count in it is
+    its old count in the cell less its counts in the others.  Inside the
+    loop a cell's color is the position of its first point in the
+    ordered points (McKay & Piperno, "Practical graph isomorphism II",
+    2014), so a split renames no other cell; the dense ranks are read
+    off once at the end.
     """
     if initial is None:
         sizes = [len(ys) for ys in down]
         sigs: list = [(len(ys), tuple(sorted([sizes[y] for y in ys]))) for ys in down]
     else:
         sigs = list(initial)
-    colors = _rank(sigs)
-    n = len(down)
-    prev_distinct = -1
-    while True:
-        distinct = max(colors, default=-1) + 1
-        if distinct == prev_distinct or distinct == n:
-            return colors
-        prev_distinct = distinct
-        color = colors.__getitem__
-        colors = _rank(
-            [
-                (colors[x], tuple(sorted(map(color, down[x]))), tuple(sorted(map(color, up[x]))))
-                for x in range(n)
-            ]
-        )
-
-
-def _rank(sigs: list) -> list[int]:
-    order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-    return [order[s] for s in sigs]
+    # A cell's color is the number of points with a lesser signature.
+    counts = Counter(sigs)
+    ranked = sorted(counts)
+    first = dict(zip(ranked, accumulate(map(counts.__getitem__, ranked), initial=0)))
+    colors = list(map(first.__getitem__, sigs))
+    cells: dict[int, list[int]] = {}
+    for x, c in enumerate(colors):
+        cells.setdefault(c, []).append(x)
+    cells = {s: xs for s, xs in cells.items() if len(xs) > 1}
+    color = colors.__getitem__
+    hit: Iterable[int] = list(cells)
+    while cells:
+        splits = []
+        for s in hit:
+            xs = cells[s]
+            keys = [(sorted(map(color, down[x])), sorted(map(color, up[x]))) for x in xs]
+            if keys.count(keys[0]) == len(keys):
+                continue
+            groups = groupby(sorted(zip(keys, xs)), itemgetter(0))
+            splits.append((s, [[x for _, x in part] for _, part in groups]))
+        if not splits:
+            break
+        splitters: list[int] = []
+        for s, parts in splits:
+            del cells[s]
+            largest = max(parts, key=len)
+            for part in parts:
+                if len(part) > 1:
+                    cells[s] = part
+                if s != colors[part[0]]:
+                    for x in part:
+                        colors[x] = s
+                if part is not largest:
+                    splitters.extend(part)
+                s += len(part)
+        touched = chain.from_iterable(map(down.__getitem__, splitters))
+        touched = chain(touched, chain.from_iterable(map(up.__getitem__, splitters)))
+        hit = cells.keys() & set(map(color, touched))
+    dense = dict(zip(sorted(set(colors)), count()))
+    return list(map(dense.__getitem__, colors))
 
 
 def _individualize(

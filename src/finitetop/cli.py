@@ -47,6 +47,7 @@ from .core import PointSet, Space
 from .errors import (
     FinitetopError,
     InternalError,
+    InvalidArgument,
     NotWellDefined,
     ParseError,
     ResultNotHomeomorphism,
@@ -117,7 +118,7 @@ def _relabel_error(err: FinitetopError, labels: Sequence[str]) -> str:
 
 def _check_label(label: str) -> None:
     if not _LABEL_RE.match(label):
-        raise ValueError(f"illegal label {label!r}")
+        raise InvalidArgument(f"illegal label {label!r}")
 
 
 def space_to_document(space: Space, name: str) -> SpaceDocument:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import count
 from typing import Iterable, Sequence
 
 from ._refine import closure_violation, iter_bits, owners, pack
@@ -67,6 +68,13 @@ class Partition:
         if -1 in assignment:
             raise InvalidArgument(f"point {assignment.index(-1)} belongs to no block")
         return cls.from_class_of(assignment)
+
+    @classmethod
+    def _of(cls, carrier_size: int, class_of: tuple[int, ...], k: int) -> "Partition":
+        """A partition from fields known to be valid; skips ``__post_init__``."""
+        part = object.__new__(cls)
+        part.__dict__.update(carrier_size=carrier_size, class_of=class_of, k=k)
+        return part
 
     @classmethod
     def identity(cls, carrier_size: int) -> "Partition":
@@ -144,8 +152,12 @@ def quotient(x: Space, p: Partition) -> Space:
     """
     if p.carrier_size != x.n:
         raise PartitionMismatch(x.n, p.carrier_size)
+    return _quotient(x, p, p.class_masks())
+
+
+def _quotient(x: Space, p: Partition, cmasks: list[int]) -> Space:
+    """The body of ``quotient``; ``cmasks`` are the class masks of ``p``, in class order."""
     masks = x.masks
-    cmasks = p.class_masks()
     class_of = p.class_of
     # the points whose class has other members; only they need completing
     shared = 0
@@ -213,10 +225,13 @@ def t0_quotient(x: Space) -> tuple[Space, Partition]:
     """Collapse points with equal neighborhoods; the result is T0.
 
     Returns the quotient space together with the partition used, whose
-    classes are numbered by least member.
+    classes are numbered by least member.  One ``owners`` pass gives the
+    classes: its masks come in first-owner order, which is class order.
     """
-    part = Partition.from_class_of(x.masks)
-    q = quotient(x, part)
+    own = owners(x.masks)
+    ids = dict(zip(own, count()))
+    part = Partition._of(x.n, tuple(map(ids.__getitem__, x.masks)), len(own))
+    q = _quotient(x, part, list(own.values()))
     if len(set(q.masks)) != q.n:
         raise InternalError("quotient classes share a neighborhood")
     return q, part

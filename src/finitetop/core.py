@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Sequence
 from . import _refine
 from ._refine import iter_bits
 from .errors import (
+    InvalidArgument,
     MinimalityViolation,
     NoMinimalSet,
     NotATopology,
@@ -45,9 +46,9 @@ class PointSet:
 
     def __post_init__(self) -> None:
         if self.size < 0:
-            raise ValueError(f"negative carrier size {self.size}")
+            raise InvalidArgument(f"negative carrier size {self.size}")
         if not 0 <= self.bits < (1 << self.size):
-            raise ValueError(
+            raise InvalidArgument(
                 f"bitmask 0x{self.bits:x} does not fit a carrier of size {self.size}"
             )
 
@@ -56,7 +57,7 @@ class PointSet:
         bits = 0
         for p in points:
             if not 0 <= p < size:
-                raise ValueError(f"point {p} outside carrier of size {size}")
+                raise InvalidArgument(f"point {p} outside carrier of size {size}")
             bits |= 1 << p
         return cls(size, bits)
 
@@ -81,7 +82,7 @@ class PointSet:
 
     def _check(self, other: "PointSet") -> None:
         if self.size != other.size:
-            raise ValueError(f"carrier sizes differ: {self.size} vs {other.size}")
+            raise InvalidArgument(f"carrier sizes differ: {self.size} vs {other.size}")
 
     def union(self, other: "PointSet") -> "PointSet":
         self._check(other)
@@ -121,10 +122,10 @@ class SubsetFamily:
 
     def __post_init__(self) -> None:
         if self.carrier_size < 0:
-            raise ValueError(f"negative carrier size {self.carrier_size}")
+            raise InvalidArgument(f"negative carrier size {self.carrier_size}")
         for s in self.sets:
             if s.size != self.carrier_size:
-                raise ValueError(
+                raise InvalidArgument(
                     f"family member has carrier {s.size}, expected {self.carrier_size}"
                 )
 
@@ -162,15 +163,15 @@ class Space:
     def __post_init__(self) -> None:
         n = self.n
         if n < 0:
-            raise ValueError(f"negative point count {n}")
+            raise InvalidArgument(f"negative point count {n}")
         masks = tuple(self.masks)
         object.__setattr__(self, "masks", masks)
         if len(masks) != n:
-            raise ValueError(f"expected {n} neighborhoods, got {len(masks)}")
+            raise InvalidArgument(f"expected {n} neighborhoods, got {len(masks)}")
         full = (1 << n) - 1
         for x, m in enumerate(masks):
             if not 0 <= m <= full:
-                raise ValueError(f"masks[{x}] = 0x{m:x} does not fit a carrier of size {n}")
+                raise InvalidArgument(f"masks[{x}] = 0x{m:x} does not fit a carrier of size {n}")
         for x in range(n):
             if not masks[x] >> x & 1:
                 raise ReflexivityViolation(x)
@@ -209,9 +210,9 @@ def _checked_labels(n: int, labels: Sequence[str] | None) -> tuple[str, ...] | N
         return None
     labels = tuple(labels)
     if len(labels) != n:
-        raise ValueError(f"expected {n} labels, got {len(labels)}")
+        raise InvalidArgument(f"expected {n} labels, got {len(labels)}")
     if len(set(labels)) != n:
-        raise ValueError("labels are not unique")
+        raise InvalidArgument("labels are not unique")
     return labels
 
 
@@ -220,7 +221,7 @@ def _as_mask(size: int, obj: int | PointSet | Iterable[int]) -> int:
         return obj
     if isinstance(obj, PointSet):
         if obj.size != size:
-            raise ValueError(f"carrier sizes differ: {obj.size} vs {size}")
+            raise InvalidArgument(f"carrier sizes differ: {obj.size} vs {size}")
         return obj.bits
     return PointSet.from_points(size, obj).bits
 
@@ -237,7 +238,7 @@ def from_neighborhoods(
     offending point(s) when the array is not a legal neighborhood basis.
     """
     if len(nbhd) != n:
-        raise ValueError(f"expected {n} neighborhoods, got {len(nbhd)}")
+        raise InvalidArgument(f"expected {n} neighborhoods, got {len(nbhd)}")
     return Space(n, tuple(_as_mask(n, s) for s in nbhd), labels)
 
 
@@ -315,12 +316,12 @@ def from_preorder(
     {y : y <= x}.
     """
     if n < 0:
-        raise ValueError(f"negative point count {n}")
+        raise InvalidArgument(f"negative point count {n}")
     up = [0] * n
     down = [0] * n
     for a, b in leq:
         if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"pair ({a}, {b}) outside carrier of size {n}")
+            raise InvalidArgument(f"pair ({a}, {b}) outside carrier of size {n}")
         up[a] |= 1 << b
         down[b] |= 1 << a
     for x in range(n):
@@ -338,7 +339,7 @@ def from_preorder(
 def is_open(space: Space, s: PointSet) -> bool:
     """True iff s is open, i.e. contains the neighborhood of each member."""
     if s.size != space.n:
-        raise ValueError(f"carrier sizes differ: {s.size} vs {space.n}")
+        raise InvalidArgument(f"carrier sizes differ: {s.size} vs {space.n}")
     m = s.bits
     return all(space.masks[x] & ~m == 0 for x in iter_bits(m))
 
@@ -364,7 +365,7 @@ def relabel(space: Space, perm: Sequence[int]) -> Space:
     """Copy of the space with point x renamed to perm[x]; labels follow."""
     n = space.n
     if len(perm) != n or sorted(perm) != list(range(n)):
-        raise ValueError("perm is not a permutation of the carrier")
+        raise InvalidArgument("perm is not a permutation of the carrier")
     order = _refine.order_map(perm, range(n))
     labels = None
     if space.labels is not None:

@@ -17,6 +17,7 @@ from .constructions import subspace
 from .core import PointSet, Space
 from .errors import (
     InternalError,
+    InvalidArgument,
     InvalidGlueData,
     NotContinuous,
     NotOpen,
@@ -35,10 +36,10 @@ class SpaceMap:
 
     def __post_init__(self) -> None:
         if len(self.f) != self.source.n:
-            raise ValueError(f"expected {self.source.n} images, got {len(self.f)}")
+            raise InvalidArgument(f"expected {self.source.n} images, got {len(self.f)}")
         for x, y in enumerate(self.f):
             if not 0 <= y < self.target.n:
-                raise ValueError(f"f[{x}] = {y} outside target carrier")
+                raise InvalidArgument(f"f[{x}] = {y} outside target carrier")
 
     def image_of(self, mask: int) -> int:
         return _refine.image(mask, self.f)
@@ -178,7 +179,7 @@ class GlueData:
 
     def __post_init__(self) -> None:
         if len(self.neighborhood_bijection) != len(self.local_maps):
-            raise ValueError("one local map is required per neighborhood pair")
+            raise InvalidArgument("one local map is required per neighborhood pair")
 
 
 def _validate_glue(x: Space, y: Space, g: GlueData) -> list[dict[int, int]]:

@@ -354,3 +354,37 @@ def least_isomorphism_backtracking(
         return False
 
     return tuple(f) if extend(0) else None
+
+
+def refine_colors_by_rounds(down, up, initial=None) -> list[int]:
+    """Color refinement that re-ranks every point every round.
+
+    The round-synchronous reference for ``_refine.refine_colors``: each
+    round ranks all points by (color, sorted colors of ``down[x]``, sorted
+    colors of ``up[x]``) and stops once the number of colors stops growing.
+    """
+    if initial is None:
+        sizes = [len(ys) for ys in down]
+        sigs: list = [(len(ys), tuple(sorted([sizes[y] for y in ys]))) for ys in down]
+    else:
+        sigs = list(initial)
+    colors = _rank(sigs)
+    n = len(down)
+    prev_distinct = -1
+    while True:
+        distinct = max(colors, default=-1) + 1
+        if distinct == prev_distinct or distinct == n:
+            return colors
+        prev_distinct = distinct
+        color = colors.__getitem__
+        colors = _rank(
+            [
+                (colors[x], tuple(sorted(map(color, down[x]))), tuple(sorted(map(color, up[x]))))
+                for x in range(n)
+            ]
+        )
+
+
+def _rank(sigs: list) -> list[int]:
+    order = {s: i for i, s in enumerate(sorted(set(sigs)))}
+    return [order[s] for s in sigs]

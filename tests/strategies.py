@@ -7,6 +7,11 @@ from hypothesis import strategies as st
 from finitetop.core import PointSet, Space, from_neighborhoods
 
 
+def crown(k: int) -> Space:
+    """k minimal points and k maximal ones, max i above min i and min i + 1 (mod k)."""
+    return from_neighborhoods(2 * k, [{i} for i in range(k)] + [{k + i, i, (i + 1) % k} for i in range(k)])
+
+
 @st.composite
 def spaces(draw, max_classes: int = 5, max_class_size: int = 2) -> Space:
     """A space built from a random poset of classes inflated to point groups.

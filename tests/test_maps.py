@@ -31,14 +31,10 @@ from oracles import (
     homeomorphic_bruteforce,
     least_isomorphism_backtracking,
 )
+from strategies import crown
 
 SIERP = from_neighborhoods(2, [{0}, {0, 1}])
 ONE = from_neighborhoods(1, [{0}])
-
-
-def crown(k):
-    """k minimal points and k maximal ones, max i above min i and min i + 1 (mod k)."""
-    return from_neighborhoods(2 * k, [{i} for i in range(k)] + [{k + i, i, (i + 1) % k} for i in range(k)])
 
 
 def shuffled(s, seed):

@@ -1,4 +1,4 @@
-"""Argument errors in the constructions are typed, never a bare ``ValueError``.
+"""Argument errors are typed, never a bare ``ValueError``.
 
 ``InvalidArgument`` subclasses both ``FinitetopError`` and ``ValueError``,
 so a caller can catch every refusal of the package in one clause while
@@ -12,12 +12,14 @@ from pathlib import Path
 import pytest
 
 import finitetop
+from finitetop.cli import SpaceDocument, serialize
 from finitetop.constructions import Partition, product_n, subspace
-from finitetop.core import PointSet
+from finitetop.core import PointSet, Space, from_neighborhoods, from_preorder, is_open, relabel
 from finitetop.errors import InvalidArgument
 from finitetop.generators import chain
+from finitetop.maps import GlueData, SpaceMap
 
-CONSTRUCTIONS = Path(finitetop.__file__).resolve().parent / "constructions.py"
+PACKAGE = Path(finitetop.__file__).resolve().parent
 
 
 def _raises_value_error(node: ast.Raise) -> bool:
@@ -27,11 +29,20 @@ def _raises_value_error(node: ast.Raise) -> bool:
     return isinstance(exc, ast.Name) and exc.id == "ValueError"
 
 
-def test_constructions_raise_no_bare_value_error():
-    tree = ast.parse(CONSTRUCTIONS.read_text(encoding="utf-8"))
+def _bare_value_error_lines(module: str) -> list[int]:
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)]
     assert raises
-    assert [n.lineno for n in raises if _raises_value_error(n)] == []
+    return [n.lineno for n in raises if _raises_value_error(n)]
+
+
+def test_constructions_raise_no_bare_value_error():
+    assert _bare_value_error_lines("constructions.py") == []
+
+
+@pytest.mark.parametrize("module", ["core.py", "maps.py", "cli.py"])
+def test_module_raises_no_bare_value_error(module):
+    assert _bare_value_error_lines(module) == []
 
 
 @pytest.mark.parametrize(
@@ -46,6 +57,20 @@ def test_constructions_raise_no_bare_value_error():
         lambda: Partition.from_blocks(2, [[0]]),
         lambda: product_n([]),
         lambda: subspace(chain(3), PointSet(2, 0b11)),
+        lambda: PointSet(-1, 0),
+        lambda: PointSet(2, 0b100),
+        lambda: PointSet.from_points(2, [2]),
+        lambda: PointSet(2, 1).union(PointSet(3, 1)),
+        lambda: Space(1, (1, 1)),
+        lambda: Space(1, (1,), ("a", "b")),
+        lambda: from_neighborhoods(2, [{0}]),
+        lambda: from_preorder(2, [(0, 2)]),
+        lambda: is_open(chain(2), PointSet(3, 1)),
+        lambda: relabel(chain(2), [0, 0]),
+        lambda: SpaceMap(chain(2), chain(2), (0,)),
+        lambda: SpaceMap(chain(2), chain(2), (0, 2)),
+        lambda: GlueData.build([(0, 0)], []),
+        lambda: serialize(SpaceDocument("a b", ("x",), (("x",),))),
     ],
     ids=[
         "short-class-of",
@@ -57,6 +82,20 @@ def test_constructions_raise_no_bare_value_error():
         "point-in-no-block",
         "empty-product",
         "subspace-size-mismatch",
+        "negative-carrier",
+        "mask-outside-carrier",
+        "point-outside-carrier",
+        "pointset-size-mismatch",
+        "space-mask-count",
+        "space-label-count",
+        "neighborhood-count",
+        "preorder-pair-outside-carrier",
+        "open-test-size-mismatch",
+        "relabel-not-a-permutation",
+        "map-length",
+        "map-image-outside-target",
+        "glue-data-counts",
+        "illegal-document-name",
     ],
 )
 def test_argument_errors_are_typed_and_still_value_errors(build):
