@@ -263,14 +263,17 @@ def canonical_order(masks: Sequence[int], budget: int = DEFAULT_SEARCH_BUDGET) -
     point are read off them in the same pass, and every leaf is encoded
     from them; the winning leaf's table is returned as ``encoding``.
 
-    A leaf whose table equals the first or the best leaf's yields an
-    automorphism; one equal to the first leaf sends the walk back to the
-    first path.  A candidate is skipped when it lies in the orbit of an
-    explored sibling under the automorphisms found below their node, or
-    when swapping it with an explored sibling is an automorphism (a twin
-    swap, recorded as a generator).  |Aut| is the product of the orbit
-    sizes of the first child along the first path.  More than ``budget``
-    individualizations raise SearchBudgetExceeded.
+    A leaf whose table equals the first leaf's yields an automorphism
+    and sends the walk back to the first path.  At a first-path node a
+    candidate is skipped when it lies in the orbit of an explored
+    sibling under the automorphisms found so far, all of which fix the
+    path to that node; at any node it is skipped when swapping it with
+    an explored sibling is an automorphism (a twin swap, recorded as a
+    generator).  Every child in the orbit of a first-path node's first
+    child holds a leaf equal to the first leaf, so |Aut| is the product
+    of those orbit sizes along the first path and the automorphisms
+    found generate Aut.  More than ``budget`` individualizations raise
+    SearchBudgetExceeded.
     """
     n = len(masks)
     if n <= 1:
@@ -287,34 +290,26 @@ def canonical_order(masks: Sequence[int], budget: int = DEFAULT_SEARCH_BUDGET) -
     colors = refine_colors(down, up)
 
     gens: list[tuple[int, ...]] = []
-    # Orbits are union-find arrays over the generators that stabilize a
-    # node.  The first-path nodes share one: every generator found so far
-    # lies below the deepest of them, so it stabilizes them all.  Other
-    # nodes get their own with their first generator.
-    shared = list(range(n))
+    # One union-find orbit array over every generator found.  Each fixes
+    # the path to every first-path node still on the stack, so its orbits
+    # prune there; below other nodes only twin swaps prune.
+    orbits = list(range(n))
     aut = 1
     spent = 0
     first_enc: tuple[int, ...] | None = None
     first_order: list[int] = []
     best_enc: tuple[int, ...] = ()
     best_order: list[int] = []
-    best_path: list[int] = []
-    first_depth = 0  # stack index of the deepest first-path node
-    # A node: [colors, cell, next candidate index, explored children, orbits].
+    first_depth = 0  # stack index of the deepest first-path node, once a leaf is found
+    # A node: [colors, cell, next candidate index, explored children].
     stack: list[list] = []
-    path: list[int] = []  # path[d] was individualized at stack[d]
 
-    def record(perm: Sequence[int], depth: int) -> None:
-        """Keep an automorphism that stabilizes the stack nodes at index <= depth."""
+    def record(perm: Sequence[int]) -> None:
         gens.append(tuple(perm))
-        for d in range(first_depth, min(depth, len(stack) - 1) + 1):
-            parent = stack[d][4]
-            if parent is None:
-                parent = stack[d][4] = list(range(n))
-            for x, y in enumerate(perm):
-                rx, ry = _find(parent, x), _find(parent, y)
-                if rx != ry:
-                    parent[rx] = ry
+        for x, y in enumerate(perm):
+            rx, ry = _find(orbits, x), _find(orbits, y)
+            if rx != ry:
+                orbits[rx] = ry
 
     node: list[int] | None = colors
     while True:
@@ -322,42 +317,37 @@ def canonical_order(masks: Sequence[int], budget: int = DEFAULT_SEARCH_BUDGET) -
             if max(node) + 1 < n:
                 tied = min(c for c, k in Counter(node).items() if k > 1)
                 cell = [q for q in range(n) if node[q] == tied]
-                stack.append([node, cell, 0, [], shared if first_enc is None else None])
+                stack.append([node, cell, 0, []])
             else:
                 order = order_map(node, range(n))
                 enc = encode(down, order)
                 if first_enc is None:
                     first_enc, first_order = enc, order
-                    best_enc, best_order, best_path = enc, order, path[:]
+                    best_enc, best_order = enc, order
                     first_depth = len(stack) - 1
                 elif enc == first_enc:
-                    record(order_map(first_order, order), first_depth)
+                    record(order_map(first_order, order))
                     del stack[first_depth + 1 :]
-                elif enc == best_enc:
-                    j = 0
-                    while j < min(len(path), len(best_path)) and path[j] == best_path[j]:
-                        j += 1
-                    record(order_map(best_order, order), j)
                 elif enc < best_enc:
-                    best_enc, best_order, best_path = enc, order, path[:]
+                    best_enc, best_order = enc, order
             node = None
         if not stack:
             break
         top = stack[-1]
-        colors, cell, i, explored, parent = top
+        colors, cell, i, explored = top
         depth = len(stack) - 1
         if i == len(cell):
             stack.pop()
             if depth == first_depth:
-                root = _find(shared, cell[0])
-                aut *= sum(1 for q in cell if _find(shared, q) == root)
+                root = _find(orbits, cell[0])
+                aut *= sum(1 for q in cell if _find(orbits, q) == root)
                 first_depth -= 1
             continue
         top[2] = i + 1
         p = cell[i]
-        if parent is not None and explored:
-            rp = _find(parent, p)
-            if any(_find(parent, q) == rp for q in explored):
+        if depth <= first_depth and explored:
+            rp = _find(orbits, p)
+            if any(_find(orbits, q) == rp for q in explored):
                 continue
         twin = next(
             (
@@ -371,14 +361,12 @@ def canonical_order(masks: Sequence[int], budget: int = DEFAULT_SEARCH_BUDGET) -
         if twin is not None:
             swap = list(range(n))
             swap[p], swap[twin] = twin, p
-            record(swap, depth)
+            record(swap)
             continue
         spent += 1
         if spent > budget:
             raise SearchBudgetExceeded(budget)
         explored.append(p)
-        del path[depth:]
-        path.append(p)
         node = _individualize(down, up, colors, p)
     return SearchResult(tuple(best_order), tuple(gens), aut, best_enc)
 

@@ -3,8 +3,8 @@
 Spaces on a fixed carrier correspond exactly to preorders, so the
 enumerator walks every candidate neighborhood array (one subset
 containing x per point x) and keeps the ones closed under the
-minimality condition.  Grouping into homeomorphism classes goes through
-canonical forms.  Each class is checked against the orbit-stabilizer
+minimality condition.  Grouping into homeomorphism classes takes one
+canonical search per labeled space, which also gives |Aut|.  Each class is checked against the orbit-stabilizer
 identity size · |Aut| = n!, which fails for both halves of a class that a
 non-canonical form splits.  The cap is deliberate: the walk over
 candidate arrays grows like 2^(n(n-1)).
@@ -17,7 +17,7 @@ from itertools import product as iproduct
 from math import factorial
 
 from ._refine import canonical_order, first_violation
-from .core import Space, canonical_form
+from .core import Space
 from .errors import InternalError, InvalidArgument, TooLarge
 from .invariants import index_of, min_of
 
@@ -72,27 +72,27 @@ def census(n: int) -> CensusRow:
         raise InvalidArgument("census needs at least one point")
     if n > CENSUS_CAP:
         raise TooLarge(n, CENSUS_CAP)
-    buckets: dict[tuple[int, ...], tuple[Space, int]] = {}
+    # Each class keyed by its canonical table, holding [size, |Aut|].
+    buckets: dict[tuple[int, ...], list[int]] = {}
     total = 0
     for space in enumerate_spaces(n):
         total += 1
-        canon = canonical_form(space)
-        key = canon.masks
-        if key in buckets:
-            rep, count = buckets[key]
-            buckets[key] = (rep, count + 1)
+        found = canonical_order(space.masks)
+        bucket = buckets.get(found.encoding)
+        if bucket is None:
+            buckets[found.encoding] = [1, found.aut]
         else:
-            buckets[key] = (canon, 1)
+            bucket[0] += 1
 
     classes = []
     for key in sorted(buckets):
-        rep, count = buckets[key]
-        _, _, aut = canonical_order(rep.masks)
+        count, aut = buckets[key]
         if count * aut != factorial(n):
             raise InternalError(
                 f"class of size {count} breaks size · |Aut| = {n}!; "
                 "canonicalization is broken"
             )
+        rep = Space._of(n, key)
         classes.append(
             CensusClass(
                 representative=rep,

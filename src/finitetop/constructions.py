@@ -44,14 +44,14 @@ class Partition:
 
     @classmethod
     def from_class_of(cls, assignment: Sequence[int]) -> "Partition":
-        """Normalize an arbitrary point-to-class assignment."""
+        """Normalize an arbitrary point-to-class assignment; valid by construction."""
         renum: dict[int, int] = {}
         out = []
         for c in assignment:
             if c not in renum:
                 renum[c] = len(renum)
             out.append(renum[c])
-        return cls(len(assignment), tuple(out), len(renum))
+        return cls._of(len(assignment), tuple(out), len(renum))
 
     @classmethod
     def from_blocks(

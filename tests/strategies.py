@@ -1,15 +1,24 @@
-"""Hypothesis strategies shared by the property suites."""
+"""Hypothesis strategies and space builders shared by the test suites."""
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import strategies as st
 
-from finitetop.core import PointSet, Space, from_neighborhoods
+from finitetop.core import PointSet, Space, from_neighborhoods, relabel
 
 
 def crown(k: int) -> Space:
     """k minimal points and k maximal ones, max i above min i and min i + 1 (mod k)."""
     return from_neighborhoods(2 * k, [{i} for i in range(k)] + [{k + i, i, (i + 1) % k} for i in range(k)])
+
+
+def shuffled(space: Space, seed: int) -> Space:
+    """space relabeled by a seeded random permutation."""
+    perm = list(range(space.n))
+    random.Random(seed).shuffle(perm)
+    return relabel(space, perm)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import pytest
 
+import finitetop.census
 from finitetop.census import CensusRow, census, enumerate_spaces
 from finitetop.core import relabel
 from finitetop.errors import TooLarge
@@ -86,3 +87,16 @@ class TestCensus:
             census(0)
         with pytest.raises(TooLarge):
             census(6)
+
+    def test_one_canonical_search_per_labeled_space(self, monkeypatch):
+        calls = []
+        search = finitetop.census.canonical_order
+
+        def counted(masks):
+            calls.append(masks)
+            return search(masks)
+
+        monkeypatch.setattr(finitetop.census, "canonical_order", counted)
+        row = census(4)
+        assert (row.total_labeled, row.class_count) == (355, 33)
+        assert len(calls) == 355

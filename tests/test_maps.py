@@ -31,16 +31,10 @@ from oracles import (
     homeomorphic_bruteforce,
     least_isomorphism_backtracking,
 )
-from strategies import crown
+from strategies import crown, shuffled
 
 SIERP = from_neighborhoods(2, [{0}, {0, 1}])
 ONE = from_neighborhoods(1, [{0}])
-
-
-def shuffled(s, seed):
-    perm = list(range(s.n))
-    random.Random(seed).shuffle(perm)
-    return relabel(s, perm)
 
 
 class TestSpaceMap:
