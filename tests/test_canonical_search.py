@@ -5,7 +5,8 @@ one point above the two ends of each edge.  For a strongly regular
 graph every vertex and every edge point looks alike to color
 refinement, so |Aut| and the homeomorphism answers rest on the
 individualization search and its pruning.  The individualization counts
-at the budget edge pin how much of the tree the search walks.
+at the budget edge pin how much of the tree the search walks, and the
+search reports the same count in ``SearchResult.individualizations``.
 """
 
 from itertools import combinations
@@ -90,11 +91,23 @@ def test_least_map_on_a_petersen_incidence_poset():
         (lambda: crown(8), 5),
         (lambda: divisor(60), 11),
         (lambda: divisor(250), 157),
+        (lambda: divisor(500), 536),
+        (lambda: blocks(7, 2), 34),
     ],
-    ids=["discrete6", "blocks6x2", "blocks8x8", "crown8", "divisor60", "divisor250"],
+    ids=[
+        "discrete6",
+        "blocks6x2",
+        "blocks8x8",
+        "crown8",
+        "divisor60",
+        "divisor250",
+        "divisor500",
+        "blocks7x2",
+    ],
 )
 def test_individualizations_at_the_budget_edge(build, spent):
     masks = build().masks
+    assert canonical_order(masks).individualizations == spent
     canonical_order(masks, budget=spent)
     with pytest.raises(SearchBudgetExceeded):
         canonical_order(masks, budget=spent - 1)

@@ -4,15 +4,18 @@
 ``oracles.refine_colors_by_rounds`` re-ranks every point every round,
 which is how the colors are defined, so the two must agree on every
 input, both from the structural start and from the individualized
-colorings the search hands in.
+colorings a search makes.  The search itself refines each child from
+its parent's stable cells (``_child``); that path must reach the same
+colors as a fresh refinement of the individualized coloring.
 """
 
 import random
+from itertools import count
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from finitetop._refine import image, iter_bits, refine_colors
+from finitetop._refine import _child, _stable, image, iter_bits, refine_colors
 from finitetop.core import PointSet
 from finitetop.generators import blocks, divisor
 
@@ -71,23 +74,58 @@ def individualized(colors, p):
     return [2 * c + (q != p) for q, c in enumerate(colors)]
 
 
+def dense(colors):
+    ranks = dict(zip(sorted(set(colors)), count()))
+    return [ranks[c] for c in colors]
+
+
+def check_state(state):
+    """Colors are first positions and cells are the non-singleton ones, members ascending."""
+    colors, cells = state
+    for c in colors:
+        assert c == sum(1 for d in colors if d < c)
+    expected = {}
+    for q, c in enumerate(colors):
+        expected.setdefault(c, []).append(q)
+    assert cells == {c: qs for c, qs in expected.items() if len(qs) > 1}
+
+
+def check_child(down, up, state, p, expected):
+    """The child refined from its parent's cells has the expected colors; the parent is kept."""
+    before = (list(state[0]), {c: list(qs) for c, qs in state[1].items()})
+    child = _child(down, up, *state, p)
+    assert state == before
+    check_state(child)
+    assert dense(child[0]) == expected
+    return child
+
+
 def check_against_rounds(masks, points):
     """Agreement from the structural start, and after individualizing each point in turn.
 
     Each individualized coloring is refined once more at a second point
-    of a tied cell, as a search one level deeper would.
+    of a tied cell, as a search one level deeper would.  A point of a
+    tied cell is also individualized from the parent's stable cells, as
+    the search does it, at both levels.
     """
     down, up = neighbor_lists(masks)
     colors = refine_colors(down, up)
     assert colors == refine_colors_by_rounds(down, up)
+    root = _stable(down, up)
+    check_state(root)
+    assert dense(root[0]) == colors
     for p in points:
         start = individualized(colors, p)
         node = refine_colors(down, up, start)
         assert node == refine_colors_by_rounds(down, up, start)
+        child = check_child(down, up, root, p, node) if root[0][p] in root[1] else None
         tied = [q for q in range(len(masks)) if node.count(node[q]) > 1]
         if tied:
             deeper = individualized(node, tied[-1])
-            assert refine_colors(down, up, deeper) == refine_colors_by_rounds(down, up, deeper)
+            expected = refine_colors_by_rounds(down, up, deeper)
+            assert refine_colors(down, up, deeper) == expected
+            if child is not None:
+                check_child(down, up, child, tied[-1], expected)
 
 
 @given(spaces(max_classes=6, max_class_size=3))
