@@ -47,36 +47,56 @@ def image(mask: int, f: Sequence[int] | dict[int, int]) -> int:
     return out
 
 
-#: Maps the digits of a binary string to the byte ``pack`` ORs into a dropped digit.
-_DROP_MARK = bytes.maketrans(b"01", b"\x00\x02")
-
-
 def pack(masks: Sequence[int], keep: int, n: int) -> list[int]:
     """Each mask's bits at the members of keep, packed down in ascending order.
 
     Equals ``image(m & keep, rank)`` with rank numbering the members of
-    keep from 0, for masks on an n-point carrier.  A mask is written as
-    one ASCII digit per bit; OR-ing 0x02 into the bytes of the dropped
-    bits turns their digits into '2' and '3', which are deleted, and the
-    rest is read back in base 2, all at C level.  When keep is the whole
-    carrier the masks come back unchanged.
+    keep from 0, for masks on an n-point carrier.  This is the compress
+    of Warren, *Hacker's Delight* (2nd ed., 2012, §7-4), on a word of
+    W = 2^L ≥ n bits, L = ⌈log₂ n⌉.  A kept bit at p must move down by
+    z(p), the number of dropped bits below it; round i moves the kept
+    bits whose z has bit i set by 2^i.  The L move masks depend only on
+    keep, so they are found once, each by L parallel-suffix XORs that
+    read bit i of z at every kept bit.  A mask then costs two int
+    operations per nonzero move mask, each over the whole word at C
+    level, instead of a pass per bit.
+
+    In a move ``x ^ t | t >> s`` the ``|`` never meets a set destination
+    bit.  For kept bits p' < p, exactly p − p' − (z(p) − z(p')) ≥ 1
+    kept bits lie in [p', p), and the shifts made through round i,
+    z mod 2^(i+1) for each, differ by at most z(p) − z(p'), so the kept
+    bits stay at distinct ascending positions after every round.  A
+    moved bit thus lands where no unmoved bit stays, and the moved bits
+    all shift by the same amount.  When keep is the whole carrier the
+    masks come back unchanged.
     """
     full = (1 << n) - 1
     if keep == full:
         return list(masks)
     if not keep:
         return [0] * len(masks)
-    width = f"0{n}b"
-    drop = int.from_bytes(format(full & ~keep, width).encode().translate(_DROP_MARK), "big")
-    return [
-        int(
-            (int.from_bytes(format(m, width).encode(), "big") | drop)
-            .to_bytes(n, "big")
-            .translate(None, b"23"),
-            2,
-        )
-        for m in masks
-    ]
+    rounds = (n - 1).bit_length()
+    moves = []
+    m = keep
+    mk = ~keep << 1 & full  # bit p set when p - 1 is dropped; suffix XORs count these mod 2
+    for i in range(rounds):
+        mp = mk
+        for j in range(rounds):
+            mp ^= mp << (1 << j)
+        mv = mp & m  # the kept bits whose z has bit i set
+        if mv:
+            s = 1 << i
+            moves.append((mv, s))
+            m = m ^ mv | mv >> s
+        mk &= ~mp
+    out = []
+    for x in masks:
+        x &= keep
+        for mv, s in moves:
+            t = x & mv
+            x = x ^ t | t >> s
+        out.append(x)
+    return out
 
 
 def owners(masks: Sequence[int]) -> dict[int, int]:
@@ -363,9 +383,10 @@ def canonical_order(masks: Sequence[int], budget: int = DEFAULT_SEARCH_BUDGET) -
     def record(perm: Sequence[int]) -> None:
         gens.append(tuple(perm))
         for x, y in enumerate(perm):
-            rx, ry = _find(orbits, x), _find(orbits, y)
-            if rx != ry:
-                orbits[rx] = ry
+            if x != y:
+                rx, ry = _find(orbits, x), _find(orbits, y)
+                if rx != ry:
+                    orbits[rx] = ry
 
     node: tuple[list[int], dict[int, list[int]]] | None = _stable(down, up)
     while True:

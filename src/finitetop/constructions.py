@@ -227,8 +227,12 @@ def t0_quotient(x: Space) -> tuple[Space, Partition]:
     Returns the quotient space together with the partition used, whose
     classes are numbered by least member.  One ``owners`` pass gives the
     classes: its masks come in first-owner order, which is class order.
+    A T0 input is its own T0 quotient: its classes are singletons, so
+    each preimage is the point's neighborhood and nothing is packed away.
     """
     own = owners(x.masks)
+    if len(own) == x.n:
+        return Space._of(x.n, x.masks, x.labels), Partition._of(x.n, tuple(range(x.n)), x.n)
     ids = dict(zip(own, count()))
     part = Partition._of(x.n, tuple(map(ids.__getitem__, x.masks)), len(own))
     q = _quotient(x, part, list(own.values()))

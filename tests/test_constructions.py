@@ -11,13 +11,14 @@ from finitetop.constructions import (
 )
 from finitetop.core import (
     PointSet,
+    Space,
     canonical_form,
     from_neighborhoods,
     is_open,
     open_sets,
 )
 from finitetop.errors import PartitionMismatch, SizeOverflow
-from finitetop.generators import blocks, chain, discrete, indiscrete
+from finitetop.generators import blocks, chain, discrete, indiscrete, random_space
 from finitetop.invariants import is_irreducible, min_of
 
 from oracles import least_saturated_open_superset, quotient_masks_by_fixpoint
@@ -212,6 +213,20 @@ class TestT0Quotient:
         q, part = t0_quotient(s)
         assert part.k == 3
         assert q.masks == s.masks
+
+    @pytest.mark.parametrize(
+        "s",
+        [chain(1), chain(5), product(chain(3), chain(4)), product(chain(8), chain(8))]
+        + [t0_quotient(random_space(n, seed))[0] for n, seed in ((6, 0), (24, 1), (64, 2))],
+    )
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_t0_input_is_its_own_quotient(self, s, labeled):
+        if labeled:
+            s = Space(s.n, s.masks, tuple(f"v{x}" for x in range(s.n)))
+        identity = Partition.identity(s.n)
+        q, part = t0_quotient(s)
+        assert q == s == quotient(s, identity)
+        assert part == identity
 
     def test_blocks_collapse_to_discrete(self):
         q, _ = t0_quotient(blocks(2, 3))

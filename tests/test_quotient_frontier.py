@@ -29,15 +29,21 @@ def pack_by_image(masks, keep):
     return [image(m & keep, rank) for m in masks]
 
 
+#: Carrier sizes at and beside the powers of two, where the compress's word width changes.
+EDGE_SIZES = (127, 128, 129, 255, 256, 257, 1023, 1024, 1025, 2048, 4095, 4096)
+
+
 @st.composite
 def masks_and_keep(draw):
-    n = draw(st.integers(0, 80))
+    n = draw(st.one_of(st.integers(0, 80), st.sampled_from(EDGE_SIZES)))
     masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
     keep = draw(
         st.one_of(
             st.integers(0, (1 << n) - 1),
             st.just(0),
             st.just((1 << n) - 1),
+            st.just(1 if n else 0),
+            st.just(1 << (n - 1) if n else 0),
             st.integers(0, max(n - 1, 0)).map(lambda b: 1 << b if n else 0),
         )
     )
