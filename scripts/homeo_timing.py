@@ -1,0 +1,61 @@
+#!/usr/bin/env python3
+"""Time ``find_homeomorphism`` on fixed pairs, in both directions.
+
+Each space is paired with a relabeling of itself by a permutation drawn
+from ``random.Random(7)``.  For each direction the script prints the
+best of k wall-clock runs in seconds and the first 16 hex digits of the
+sha256 of the map, so two checkouts can be compared for speed and for
+identical answers.  Divisibility spaces run up to the given bound.  Run
+with::
+
+    PYTHONPATH=src python scripts/homeo_timing.py [max_bound] [k]
+
+The defaults are 250 and 3; ``max_bound`` 500 adds ``divisor(500)``,
+whose relabeled → original direction takes tens of seconds.
+"""
+
+import hashlib
+import random
+import sys
+import time
+
+from finitetop.constructions import disjoint_sum
+from finitetop.core import relabel
+from finitetop.generators import blocks, discrete, divisor
+from finitetop.maps import find_homeomorphism
+
+SEED = 7
+
+
+def spaces(max_bound: int):
+    for bound in (60, 250, 500):
+        if bound <= max_bound:
+            yield f"divisor({bound})", divisor(bound)
+    yield "blocks(8, 8)", blocks(8, 8)
+    yield "discrete(64)", discrete(64)
+    yield "disjoint_sum(blocks(6, 3), blocks(6, 3))", disjoint_sum(blocks(6, 3), blocks(6, 3))
+
+
+def main(max_bound: int, k: int) -> None:
+    print(f"{'space':<42} {'direction':<22} {'best s':>9}  map sha256")
+    for name, space in spaces(max_bound):
+        perm = list(range(space.n))
+        random.Random(SEED).shuffle(perm)
+        relabeled = relabel(space, perm)
+        for direction, (a, b) in (
+            ("original → relabeled", (space, relabeled)),
+            ("relabeled → original", (relabeled, space)),
+        ):
+            best = float("inf")
+            for _ in range(k):
+                start = time.perf_counter()
+                h = find_homeomorphism(a, b)
+                best = min(best, time.perf_counter() - start)
+            sha = hashlib.sha256(repr(h.f).encode()).hexdigest()[:16]
+            print(f"{name:<42} {direction:<22} {best:>9.4f}  {sha}", flush=True)
+
+
+if __name__ == "__main__":
+    max_bound = int(sys.argv[1]) if len(sys.argv) > 1 else 250
+    k = int(sys.argv[2]) if len(sys.argv) > 2 else 3
+    main(max_bound, k)

@@ -33,9 +33,6 @@ def enumerate_spaces(n: int):
     """
     if n > CENSUS_CAP:
         raise TooLarge(n, CENSUS_CAP)
-    if n == 0:
-        yield Space._of(0, ())
-        return
     choices = [
         [m for m in range(1 << n) if m >> x & 1] for x in range(n)
     ]

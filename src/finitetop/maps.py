@@ -119,33 +119,16 @@ def find_homeomorphism(
     One canonical search runs on each side, under its own node budget
     (SearchBudgetExceeded).  Unequal canonical tables answer None at
     once.  Otherwise the two canonical orders give one homeomorphism f,
-    and the others are h ∘ f for h in Aut(b).  A stabilizer chain of
-    Aut(b) with base f[0], f[1], ... is built once from the search's
-    generators (``_refine.stabilizer_chain``).  Every h in Aut(b) is
-    u_0 ∘ u_1 ∘ ... with u_x a coset representative of level x, and the
-    later factors fix f[x], so (h ∘ f)[x] depends on u_0..u_x alone:
-    level by level, the representative u_y whose y the product so far
-    sends lowest gives the least image of f[x], and the product after
-    the last level gives the least map.
+    and the others are h ∘ f for h in Aut(b); ``_refine.least_map``
+    picks the least of them from the search's generators of Aut(b).
     """
     if a.n != b.n:
         return None
-    n = a.n
-    if n == 0:
-        return SpaceMap(a, b, ())
     ra = _refine.canonical_order(a.masks, budget=budget)
     rb = _refine.canonical_order(b.masks, budget=budget)
     if ra.encoding != rb.encoding:
         return None
-    f = _refine.order_map(ra.order, rb.order)
-    strong, trees = _refine.stabilizer_chain(rb.generators, f, rb.aut)
-    h = list(range(n))
-    for tree in trees:
-        y, k = tree[min(tree, key=h.__getitem__)]
-        while k >= 0:  # h ← h ∘ u_y, one tree edge at a time
-            h = list(map(h.__getitem__, strong[k]))
-            y, k = tree[y]
-    f = [h[y] for y in f]
+    f = _refine.least_map(rb.generators, _refine.order_map(ra.order, rb.order), rb.aut)
     if not _is_structure_isomorphism(a, b, f):
         raise InternalError("search returned a map that is not a homeomorphism")
     return SpaceMap(a, b, tuple(f))

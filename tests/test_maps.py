@@ -15,7 +15,7 @@ from finitetop.errors import (
     InternalError,
     SearchBudgetExceeded,
 )
-from finitetop.generators import blocks, chain, discrete, indiscrete, random_space
+from finitetop.generators import blocks, chain, discrete, divisor, indiscrete, random_space
 from finitetop.maps import (
     GlueData,
     SpaceMap,
@@ -201,6 +201,7 @@ class TestLeastMapPastBruteForce:
         product(blocks(3, 2), chain(3)),
         disjoint_sum(blocks(4, 2), blocks(4, 2)),
         crown(7),
+        divisor(30),  # Aut fixes points between the ones it moves
     ]
 
     @pytest.mark.parametrize("index", range(len(SPACES)))
@@ -250,6 +251,15 @@ class TestOneSearchPerSide:
             rest = result.generators[:i] + result.generators[i + 1 :]
             with pytest.raises(InternalError):
                 refine.stabilizer_chain(rest, base, result.aut)
+
+    def test_chain_rejects_too_small_an_order(self):
+        result = refine.canonical_order(crown(5).masks)
+        with pytest.raises(InternalError):
+            refine.least_map(result.generators, list(range(10)), 5)
+
+    def test_least_map_without_generators_is_the_given_map(self):
+        f = [3, 1, 4, 0, 2]
+        assert refine.least_map([], f, 1) == f
 
 
 class TestGlue:
