@@ -276,8 +276,11 @@ def to_dot(space: Space) -> str:
     masks = space.masks
     strict = [0] * space.n
     for e, o in classes.owners.items():
-        for x in iter_bits(o):
-            strict[x] = e & ~o
+        below, rest = e & ~o, o
+        while rest:
+            low = rest & -rest
+            strict[low.bit_length() - 1] = below
+            rest ^= low
     for x in range(space.n):
         attrs = [f'label="{space.label_of(x)} ({masks[x].bit_count()})"']
         if classes.basic >> x & 1:
@@ -291,8 +294,12 @@ def to_dot(space: Space) -> str:
             z = rest.bit_length() - 1
             dropped |= strict[z]
             rest &= ~(strict[z] | 1 << z)
-        for y in iter_bits(masks[x] & ~dropped & ~(1 << x)):
-            lines.append(f"  p{y} -> p{x};")
+        # a lowest-bit walk: these masks are sparse on large carriers
+        edges = masks[x] & ~dropped & ~(1 << x)
+        while edges:
+            low = edges & -edges
+            lines.append(f"  p{low.bit_length() - 1} -> p{x};")
+            edges ^= low
     lines.append("}")
     return "\n".join(lines) + "\n"
 

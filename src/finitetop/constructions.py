@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import count
 from typing import Iterable, Sequence
 
 from ._refine import closure_violation, iter_bits, owners, pack
@@ -142,6 +141,16 @@ def quotient(x: Space, p: Partition) -> Space:
     neighborhood already taken is skipped.  Classes of one point need no
     completing, so on a T0 input each class costs one round.
 
+    The classes are grown in ascending size of the union of their
+    members' neighborhoods, which tends to finish a class before the
+    classes above it, and each finished preimage is kept.  When the
+    growth of W_c has to complete a finished class d, W_c holds all of
+    d, being saturated, and so holds W_d, the least such set.  W_d is
+    taken in whole, and its points, already closed under neighborhoods
+    and classes, leave the frontier, which so only ever holds points of
+    unfinished classes.  Completing d then costs one step, not one per
+    class that W_d holds.
+
     The preimages are then re-verified together by ``_check_preimages``:
     each W_c holds its class and is open and saturated, in n steps plus
     one near-linear closure check.  Being saturated, W_c meets the
@@ -152,21 +161,20 @@ def quotient(x: Space, p: Partition) -> Space:
     """
     if p.carrier_size != x.n:
         raise PartitionMismatch(x.n, p.carrier_size)
-    return _quotient(x, p, p.class_masks())
-
-
-def _quotient(x: Space, p: Partition, cmasks: list[int]) -> Space:
-    """The body of ``quotient``; ``cmasks`` are the class masks of ``p``, in class order."""
     masks = x.masks
     class_of = p.class_of
+    cmasks = p.class_masks()
     # the points whose class has other members; only they need completing
     shared = 0
     for cm in cmasks:
         if cm & (cm - 1):
             shared |= cm
-    pre = []
-    for cm in cmasks:
-        w = fresh = cm
+    reach = [0] * p.k  # the union of each class's neighborhoods
+    for m, c in zip(masks, class_of):
+        reach[c] |= m
+    pre = [0] * p.k  # nonzero once a class is finished
+    for c in sorted(range(p.k), key=lambda c: reach[c].bit_count()):
+        w = fresh = cmasks[c]
         while fresh:
             grown = w
             while fresh:
@@ -176,20 +184,29 @@ def _quotient(x: Space, p: Partition, cmasks: list[int]) -> Space:
             rest = grown & ~w & shared
             w = grown
             while rest:
-                d = cmasks[class_of[rest.bit_length() - 1]]
-                fresh |= d & ~w
-                w |= d
-                rest &= ~d
-        pre.append(w)
+                d = class_of[rest.bit_length() - 1]
+                s = pre[d]
+                if s:
+                    fresh &= ~s
+                else:
+                    s = cmasks[d]
+                    fresh |= s & ~w
+                w |= s
+                rest &= ~s
+        pre[c] = w
     _check_preimages(masks, cmasks, class_of, pre)
     nb = pack(pre, sum(cm & -cm for cm in cmasks), x.n)
-    labels = None
-    if x.labels is not None:
-        grouped: list[list[str]] = [[] for _ in range(p.k)]
-        for pt, c in enumerate(class_of):
-            grouped[c].append(x.labels[pt])
-        labels = _distinct_or_none(tuple("+".join(g) for g in grouped))
-    return Space._of(p.k, tuple(nb), labels)
+    return Space._of(p.k, tuple(nb), _joined_labels(x, class_of, p.k))
+
+
+def _joined_labels(x: Space, class_of: Sequence[int], k: int) -> tuple[str, ...] | None:
+    """Each class's members' labels joined with ``+``, or None when two coincide."""
+    if x.labels is None:
+        return None
+    grouped: list[list[str]] = [[] for _ in range(k)]
+    for pt, c in enumerate(class_of):
+        grouped[c].append(x.labels[pt])
+    return _distinct_or_none(tuple("+".join(g) for g in grouped))
 
 
 def _check_preimages(
@@ -225,20 +242,31 @@ def t0_quotient(x: Space) -> tuple[Space, Partition]:
     """Collapse points with equal neighborhoods; the result is T0.
 
     Returns the quotient space together with the partition used, whose
-    classes are numbered by least member.  One ``owners`` pass gives the
-    classes: its masks come in first-owner order, which is class order.
-    A T0 input is its own T0 quotient: its classes are singletons, so
-    each preimage is the point's neighborhood and nothing is packed away.
+    classes are numbered by least member.  One pass numbers the distinct
+    neighborhoods in first-owner order, which is class order, hashing
+    each mask once.  For a class of points with neighborhood S, the
+    preimage of its neighborhood is S itself: S is open, it is saturated
+    (y in S and S(y') = S(y) give y' in S(y), inside S), and every open
+    set holding the class holds S.  So the quotient's masks are the
+    distinct neighborhoods packed onto the classes' least members, with
+    no growth and no re-check.  A T0 input is its own T0 quotient,
+    returned with the identity partition.
     """
-    own = owners(x.masks)
-    if len(own) == x.n:
-        return Space._of(x.n, x.masks, x.labels), Partition._of(x.n, tuple(range(x.n)), x.n)
-    ids = dict(zip(own, count()))
-    part = Partition._of(x.n, tuple(map(ids.__getitem__, x.masks)), len(own))
-    q = _quotient(x, part, list(own.values()))
-    if len(set(q.masks)) != q.n:
+    ids: dict[int, int] = {}
+    class_of = tuple(ids.setdefault(m, len(ids)) for m in x.masks)
+    k = len(ids)
+    part = Partition._of(x.n, class_of, k)
+    if k == x.n:
+        return Space._of(x.n, x.masks, x.labels), part
+    keep = seen = 0  # the least member of each class
+    for pt, c in enumerate(class_of):
+        if c == seen:
+            keep |= 1 << pt
+            seen += 1
+    nb = pack(list(ids), keep, x.n)
+    if len(set(nb)) != k:
         raise InternalError("quotient classes share a neighborhood")
-    return q, part
+    return Space._of(k, tuple(nb), _joined_labels(x, class_of, k)), part
 
 
 def disjoint_sum(a: Space, b: Space, bound: int = DEFAULT_CARRIER_BOUND) -> Space:

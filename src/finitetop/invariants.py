@@ -17,7 +17,12 @@ exactly when y ∈ S(x):
   a minimal point of another class ⇔ x's class is the least element of
   its connected component (clause (b) follows from irreducibility), so
   ``index`` is the number of connected components with a least point;
-- the space is Hausdorff ⇔ Σ|S(x)| = |⋃ S(x)| (= n).
+- the space is Hausdorff ⇔ Σ|S(x)| = |⋃ S(x)| (= n), so the sum stops
+  once it passes n.
+
+The minimal and basic points are unions of whole classes, so one point
+per distinct irreducible or basic neighborhood is read off the same pass
+as their meet with ``reps``, the least id of every minimal class.
 """
 
 from __future__ import annotations
@@ -35,30 +40,29 @@ class _Classes:
     minimal: int  # every point whose neighborhood is irreducible
     basic: int  # every point whose neighborhood is basic
     maximal: list[int]  # maximal neighborhoods, in first-owner order
+    reps: int  # the least id of every minimal class
 
 
 def _classify(space: Space) -> _Classes:
     """The one pass every invariant reads off; see the module docstring."""
     masks = space.masks
     owners = _refine.owners(masks)
-    minimal = below = spoiled = 0  # below: points in a neighborhood not their own
+    minimal = below = spoiled = reps = 0  # below: points in a neighborhood not their own
     for e, o in owners.items():
         if e == o:
             minimal |= o
-        below |= e & ~o
+            reps |= o & -o
+        else:
+            below |= e ^ o  # o lies inside e
     # Every neighborhood holds a minimal point; it spoils basicness when
-    # its minimal points are not a single class.
+    # its minimal points are not a single class, whose neighborhood any
+    # of them, here the highest, would have.
     for e in owners:
         m = e & minimal
-        if m != masks[(m & -m).bit_length() - 1]:
+        if m != masks[m.bit_length() - 1]:
             spoiled |= m
     maximal = [e for e, o in owners.items() if not o & below]
-    return _Classes(owners, minimal, minimal & ~spoiled, maximal)
-
-
-def _least_ids(owners: dict[int, int], points: int) -> int:
-    """The least id of every class that meets ``points``."""
-    return sum(o & -o for o in owners.values() if o & points)
+    return _Classes(owners, minimal, minimal & ~spoiled, maximal, reps)
 
 
 def is_irreducible(space: Space, x: int) -> bool:
@@ -96,12 +100,17 @@ def index_of(space: Space) -> int:
     if space.n == 0:
         raise EmptySpace()
     c = _classify(space)
-    return _least_ids(c.owners, c.basic).bit_count()
+    return (c.basic & c.reps).bit_count()
 
 
 def is_hausdorff(space: Space) -> bool:
     """True iff the neighborhoods of any two distinct points are disjoint."""
-    return sum(m.bit_count() for m in space.masks) == space.n
+    total = 0
+    for m in space.masks:
+        total += m.bit_count()
+        if total > space.n:
+            return False
+    return total == space.n
 
 
 def is_discrete(space: Space) -> bool:
@@ -134,7 +143,7 @@ def report(space: Space) -> InvariantReport:
     if space.n == 0:
         raise EmptySpace()
     c = _classify(space)
-    basic = _least_ids(c.owners, c.basic)
+    basic = c.basic & c.reps
     rep = InvariantReport(
         n=space.n,
         distinct_neighborhoods=len(c.owners),
@@ -142,7 +151,7 @@ def report(space: Space) -> InvariantReport:
         index_x=basic.bit_count(),
         maximal_nbhds=tuple(PointSet(space.n, m) for m in c.maximal),
         basic_points=PointSet(space.n, basic),
-        irreducible_points=PointSet(space.n, _least_ids(c.owners, c.minimal)),
+        irreducible_points=PointSet(space.n, c.minimal & c.reps),
         is_discrete=is_discrete(space),
         is_hausdorff=is_hausdorff(space),
         is_t0=len(c.owners) == space.n,

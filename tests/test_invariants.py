@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 
 from finitetop.census import enumerate_spaces
+from finitetop.constructions import disjoint_sum, product
 from finitetop.core import from_neighborhoods
 from finitetop.errors import EmptySpace
 from finitetop.generators import blocks, chain, discrete, divisor, indiscrete
@@ -23,7 +24,7 @@ from oracles import (
     maximal_masks_by_definition,
     min_cover_bruteforce,
 )
-from strategies import nonempty_spaces
+from strategies import nonempty_spaces, shuffled
 
 # two incomparable points over a shared bottom
 VEE = from_neighborhoods(3, [{0}, {0, 1}, {0, 2}])
@@ -162,6 +163,12 @@ class TestSeparation:
         for s in (discrete(3), chain(3), indiscrete(2), blocks(2, 2), VEE, FAN):
             assert is_hausdorff(s) == is_discrete(s)
 
+    @pytest.mark.parametrize("tail", [chain(2), indiscrete(2), discrete(1)])
+    def test_singletons_first(self, tail):
+        # the running sum of neighborhood sizes stays at most n until the tail
+        s = disjoint_sum(discrete(5), tail)
+        assert is_hausdorff(s) == is_hausdorff_by_definition(s) == is_discrete(s)
+
 
 class TestReport:
     def test_chain(self):
@@ -236,4 +243,8 @@ class TestAgainstDefinitions:
 
     @given(nonempty_spaces(max_classes=6, max_class_size=3))
     def test_random_spaces(self, s):
+        _assert_matches_definitions(s)
+
+    def test_shuffled_non_t0_sum(self):
+        s = shuffled(disjoint_sum(product(chain(16), chain(16)), product(blocks(8, 4), chain(16))), 0)
         _assert_matches_definitions(s)

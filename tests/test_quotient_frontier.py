@@ -17,7 +17,7 @@ from finitetop.constructions import (
     subspace,
     t0_quotient,
 )
-from finitetop.core import PointSet, relabel
+from finitetop.core import PointSet, Space, relabel
 from finitetop.errors import InternalError
 from finitetop.generators import blocks, chain
 
@@ -140,3 +140,60 @@ class TestAtBenchmarkScale:
             sum(1 << index[q] for q in bits_of(x.masks[p]) if q in index) for p in members
         ]
         assert list(sub.masks) == expected
+
+
+def pairing(n, seed):
+    """Class ids pairing the points of range(n) at random."""
+    ids = list(range(n))
+    random.Random(seed).shuffle(ids)
+    classes = [0] * n
+    for i, p in enumerate(ids):
+        classes[p] = i // 2
+    return classes
+
+
+class TestFinishedPreimages:
+    """Quotients whose growth meets classes already finished."""
+
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_random_pairing_of_grid16(self, seed):
+        x = product(chain(16), chain(16))
+        perm = list(range(x.n))
+        if seed is not None:
+            x, perm = relabeled(x, seed)
+        classes = [0] * x.n
+        for p, c in enumerate(pairing(x.n, 5)):
+            classes[perm[p]] = c
+        part = Partition.from_class_of(classes)
+        assert list(quotient(x, part).masks) == quotient_masks_by_fixpoint(x, part.class_of)
+
+    @pytest.mark.parametrize("seed", [None, 0])
+    def test_classes_with_equal_preimages(self, seed):
+        # chain(16) by residues mod 4 makes every preimage the whole carrier,
+        # and grid(8) by (i + j) mod 5 ties classes across the grid: a class
+        # finished first is met in whole by the growth of the others
+        for x, class_of in (
+            (chain(16), [p % 4 for p in range(16)]),
+            (product(chain(8), chain(8)), [(p // 8 + p % 8) % 5 for p in range(64)]),
+        ):
+            perm = list(range(x.n))
+            if seed is not None:
+                x, perm = relabeled(x, seed)
+            classes = [0] * x.n
+            for p, c in enumerate(class_of):
+                classes[perm[p]] = c
+            part = Partition.from_class_of(classes)
+            q = quotient(x, part)
+            assert list(q.masks) == quotient_masks_by_fixpoint(x, part.class_of)
+            assert len(set(q.masks)) < q.n
+
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_t0_quotient_equals_the_general_quotient(self, seed):
+        x = product(blocks(4, 3), chain(4))
+        if seed is not None:
+            x, _ = relabeled(x, seed)
+        x = Space(x.n, x.masks, tuple(f"v{p}" for p in range(x.n)))
+        q, part = t0_quotient(x)
+        general = quotient(x, part)
+        assert q.masks == general.masks
+        assert q.labels == general.labels is not None
