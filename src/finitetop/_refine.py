@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, groupby
-from math import prod
+from itertools import chain, compress, count, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -160,18 +159,28 @@ def _stable(
     """The stable first-position colors and non-singleton cells from the start fingerprints."""
     if initial is None:
         sizes = [len(ys) for ys in down]
-        sigs: list = [(len(ys), tuple(sorted([sizes[y] for y in ys]))) for ys in down]
+        size = sizes.__getitem__
+        # The member sizes are read only where |S(x)| is shared: any other
+        # point is set apart by its size alone.
+        shared = {k for k, m in Counter(sizes).items() if m > 1}
+        sigs: list = [
+            (len(ys), tuple(sorted(map(size, ys))) if len(ys) in shared else ()) for ys in down
+        ]
     else:
         sigs = list(initial)
-    # A cell's color is the number of points with a lesser signature.
-    counts = Counter(sigs)
-    ranked = sorted(counts)
-    first = dict(zip(ranked, accumulate(map(counts.__getitem__, ranked), initial=0)))
-    colors = list(map(first.__getitem__, sigs))
+    # A cell's color is the number of points with a lesser signature: the
+    # position of its first point once the points are sorted by signature.
+    sig = sigs.__getitem__
+    colors = [0] * len(sigs)
     cells: dict[int, list[int]] = {}
-    for x, c in enumerate(colors):
-        cells.setdefault(c, []).append(x)
-    cells = {s: xs for s, xs in cells.items() if len(xs) > 1}
+    s = 0
+    for _, run in groupby(sorted(range(len(sigs)), key=sig), sig):
+        xs = list(run)
+        for x in xs:
+            colors[x] = s
+        if len(xs) > 1:
+            cells[s] = xs
+        s += len(xs)
     _refine_cells(down, up, colors, cells, list(cells))
     return colors, cells
 
@@ -212,6 +221,13 @@ def _refine_cells(
         splits = []
         for s in hit:
             xs = cells[s]
+            if len(xs) == 2:
+                x, y = xs
+                kx = (sorted(map(color, down[x])), sorted(map(color, up[x])))
+                ky = (sorted(map(color, down[y])), sorted(map(color, up[y])))
+                if kx != ky:
+                    splits.append((s, [[x], [y]] if kx < ky else [[y], [x]]))
+                continue
             keys = [(sorted(map(color, down[x])), sorted(map(color, up[x]))) for x in xs]
             if keys.count(keys[0]) == len(keys):
                 continue
@@ -318,7 +334,12 @@ class SearchResult:
         return iter((self.order, self.generators, self.aut))
 
 
-def canonical_order(masks: Sequence[int], budget: int = DEFAULT_SEARCH_BUDGET) -> SearchResult:
+def canonical_order(
+    masks: Sequence[int],
+    budget: int = DEFAULT_SEARCH_BUDGET,
+    *,
+    target: tuple[int, ...] | None = None,
+) -> SearchResult:
     """The canonical order of the points, generators of Aut, |Aut| and the canonical table.
 
     Points are arranged by refined color; a tied cell (the least tied
@@ -332,6 +353,9 @@ def canonical_order(masks: Sequence[int], budget: int = DEFAULT_SEARCH_BUDGET) -
     member lists S(x) are built once, the lists of points above each
     point are read off them in the same pass, and every leaf is encoded
     from them; the winning leaf's table is returned as ``encoding``.
+    The points above each point are summed into masks only when a twin
+    test first needs them, after the cheaper test on the points' own
+    masks has passed.
 
     A leaf whose table equals the first leaf's yields an automorphism
     and sends the walk back to the first path.  At a first-path node a
@@ -347,6 +371,19 @@ def canonical_order(masks: Sequence[int], budget: int = DEFAULT_SEARCH_BUDGET) -
     ``individualizations``.  ``canonical_form(divisor(2000))`` takes
     about 1.05 s (8261 individualizations) on a 2-vCPU host with
     Python 3.11.
+
+    With ``target``, another space's canonical table, the same walk is
+    a matching search: it stops at the first leaf whose table is at most
+    ``target`` and returns that leaf's order and table.  Pruning drops
+    only subtrees whose leaves are images of explored ones under Aut, so
+    a search meets every leaf table of its tree and keeps the least.
+    ``target`` is thus the least leaf table of its own space, and a space
+    with an isomorphic table has the same leaf tables: ``encoding``
+    equals ``target`` exactly when the two tables are isomorphic, and
+    the orders of the two leaves then send one onto the other.  The walk
+    is a prefix of the full search, so it makes no more
+    individualizations; its ``generators`` and ``aut`` cover only the
+    part walked.
     """
     n = len(masks)
     down: list[list[int]] = []
@@ -356,8 +393,7 @@ def canonical_order(masks: Sequence[int], budget: int = DEFAULT_SEARCH_BUDGET) -
         down.append(ys)
         for y in ys:
             up[y].append(z)
-    bit = [1 << z for z in range(n)].__getitem__
-    ups = [sum(map(bit, zs)) for zs in up]
+    ups: list[int] = []  # the bits of the points above each point, summed on first use
 
     gens: list[tuple[int, ...]] = []
     # One union-find orbit array over every generator found.  Each fixes
@@ -392,6 +428,8 @@ def canonical_order(masks: Sequence[int], budget: int = DEFAULT_SEARCH_BUDGET) -
                 # Every cell is a singleton, so the colors are the positions 0..n-1.
                 order = order_map(colors, range(n))
                 enc = encode(down, order)
+                if target is not None and enc <= target:
+                    return SearchResult(tuple(order), tuple(gens), aut, enc, spent)
                 if first_enc is None:
                     first_enc, first_order = enc, order
                     best_enc, best_order = enc, order
@@ -420,15 +458,15 @@ def canonical_order(masks: Sequence[int], budget: int = DEFAULT_SEARCH_BUDGET) -
             rp = _find(orbits, p)
             if any(_find(orbits, q) == rp for q in explored):
                 continue
-        twin = next(
-            (
-                q
-                for q in explored
-                if not (ups[p] ^ ups[q]) & ~(1 << p | 1 << q)
-                and _swap_bits(masks[p], p, q) == masks[q]
-            ),
-            None,
-        )
+        twin = None
+        for q in explored:
+            if _swap_bits(masks[p], p, q) == masks[q]:
+                if not ups:
+                    bit = [1 << z for z in range(n)].__getitem__
+                    ups = [sum(map(bit, zs)) for zs in up]
+                if not (ups[p] ^ ups[q]) & ~(1 << p | 1 << q):
+                    twin = q
+                    break
         if twin is not None:
             swap = list(range(n))
             swap[p], swap[twin] = twin, p
@@ -473,16 +511,21 @@ def stabilizer_chain(
     level_gens: list[list[int]] = [[] for _ in range(n)]
     trees = [{b: (b, -1)} for b in base]
     sifted: list[set[tuple[int, int]]] = [set() for _ in range(n)]
+    size = 1  # the product of the basic-orbit sizes
+    last = -1  # the deepest level whose basic orbit is more than its base point
 
     def add(g: list[int], top: int) -> int:
         """Join g != id to the levels top..j, j the first level whose base point it moves."""
+        nonlocal size, last
         j = next(i for i, b in enumerate(base) if g[b] != b)
+        last = max(last, j)
         k = len(strong)
         strong.append(g)
         inverse.append(order_map(g, identity))
         for i in range(top, j + 1):
             level_gens[i].append(k)
             tree = trees[i]
+            size //= len(tree)
             # The tree is closed under the level's older generators, so
             # only g leads out of it; each point g adds then meets them all.
             frontier = [z for z in map(g.__getitem__, tree) if z not in tree]
@@ -494,11 +537,17 @@ def stabilizer_chain(
                     if z not in tree:
                         tree[z] = (y, kk)
                         frontier.append(z)
+            size *= len(tree)
         return j
 
     def sift(g: list[int], i: int) -> list[int] | None:
-        """g stripped through the levels from i on; None if nothing is left."""
-        for j in range(i, n):
+        """g stripped through the levels from i on; None if nothing is left.
+
+        Past ``last`` every basic orbit is its base point alone, so g
+        passes those levels unchanged: the residue is g unless g is the
+        identity.
+        """
+        for j in range(i, last + 1):
             tree, b = trees[j], base[j]
             z = g[b]
             if z != b and z not in tree:
@@ -511,8 +560,8 @@ def stabilizer_chain(
     for g in gens:
         if list(g) != identity:
             add(list(g), 0)
-    i = n - 1
-    while i >= 0 and prod(map(len, trees)) != order:
+    i = last  # deeper levels have no generators
+    while i >= 0 and size != order:
         tree, done, b = trees[i], sifted[i], base[i]
         for y, k in ((y, k) for y in tree for k in level_gens[i]):
             if (y, k) in done:
@@ -531,7 +580,7 @@ def stabilizer_chain(
                 break
         else:
             i -= 1
-    if prod(map(len, trees)) != order:
+    if size != order:
         raise InternalError("automorphism generators do not generate a group of the stated order")
     return strong, trees
 

@@ -105,8 +105,8 @@ def image_space(m: SpaceMap) -> tuple[Space, SpaceMap]:
 def _is_structure_isomorphism(a: Space, b: Space, f: Sequence[int]) -> bool:
     if a.n != b.n or sorted(f) != list(range(a.n)):
         return False
-    m = SpaceMap(a, b, tuple(f))
-    return all(m.image_of(a.masks[x]) == b.masks[f[x]] for x in range(a.n))
+    bit = [1 << y for y in f].__getitem__  # f is a bijection, so images sum without overlap
+    return all(sum(map(bit, iter_bits(m))) == b.masks[y] for m, y in zip(a.masks, f))
 
 
 def find_homeomorphism(
@@ -116,19 +116,29 @@ def find_homeomorphism(
 ) -> SpaceMap | None:
     """The lexicographically least homeomorphism from a to b (by its f array), or None.
 
-    One canonical search runs on each side, under its own node budget
-    (SearchBudgetExceeded).  Unequal canonical tables answer None at
-    once.  Otherwise the two canonical orders give one homeomorphism f,
-    and the others are h ∘ f for h in Aut(b); ``_refine.least_map``
-    picks the least of them from the search's generators of Aut(b).
+    Every intersection of open sets is open here, so a homeomorphism is
+    an isomorphism of the mask tables, found as in McKay's test
+    ("Practical graph isomorphism", 1981).  One full canonical search
+    runs on a.  a's canonical table is the least leaf table of a's
+    search tree, and homeomorphic spaces have the same leaf tables, so a
+    matching search walks b's tree only until a leaf's table equals it
+    (that leaf gives a homeomorphism φ) or is less than it (None); a walk
+    that ends without either also answers None.  Each walk has its own
+    individualization budget (SearchBudgetExceeded).  The homeomorphisms
+    are h ∘ φ for h in Aut(b) = φ Aut(a) φ⁻¹, and ``_refine.least_map``
+    picks the least of them from a's generators carried over to b.
+    Spaces whose neighborhood sizes differ as multisets answer None
+    before any search.
     """
-    if a.n != b.n:
+    if sorted(map(int.bit_count, a.masks)) != sorted(map(int.bit_count, b.masks)):
         return None
     ra = _refine.canonical_order(a.masks, budget=budget)
-    rb = _refine.canonical_order(b.masks, budget=budget)
-    if ra.encoding != rb.encoding:
+    rb = _refine.canonical_order(b.masks, budget=budget, target=ra.encoding)
+    if rb.encoding != ra.encoding:
         return None
-    f = _refine.least_map(rb.generators, _refine.order_map(ra.order, rb.order), rb.aut)
+    phi = _refine.order_map(ra.order, rb.order)
+    gens = [_refine.order_map(phi, [phi[y] for y in g]) for g in ra.generators]
+    f = _refine.least_map(gens, phi, ra.aut)
     if not _is_structure_isomorphism(a, b, f):
         raise InternalError("search returned a map that is not a homeomorphism")
     return SpaceMap(a, b, tuple(f))
@@ -189,13 +199,12 @@ def _validate_glue(x: Space, y: Space, g: GlueData) -> list[dict[int, int]]:
         m = dict(entries)
         if len(m) != len(entries):
             raise InvalidGlueData(f"local map {i} repeats a source point")
-        src_members = set(iter_bits(src_sets[i]))
-        dst_members = set(iter_bits(dst_sets[i]))
-        if set(m) != src_members:
+        if m.keys() != set(iter_bits(src_sets[i])):
             raise InvalidGlueData(
                 f"local map {i} is not defined on exactly the members of its neighborhood"
             )
-        if set(m.values()) != dst_members or len(set(m.values())) != len(m):
+        values = set(m.values())
+        if values != set(iter_bits(dst_sets[i])) or len(values) != len(m):
             raise InvalidGlueData(
                 f"local map {i} is not a bijection onto the target neighborhood"
             )
@@ -218,12 +227,11 @@ def glue(x: Space, y: Space, g: GlueData) -> SpaceMap:
     f = [-1] * x.n
     first = [-1] * x.n  # the first listed neighborhood holding each point
     clashes = []
-    for j, (r, _) in enumerate(g.neighborhood_bijection):
-        local = locals_[j]
-        for p in iter_bits(x.masks[r]):
+    for j, local in enumerate(locals_):  # each local map's keys are its neighborhood's members
+        for p, v in local.items():
             if first[p] < 0:
-                f[p], first[p] = local[p], j
-            elif local[p] != f[p]:
+                f[p], first[p] = v, j
+            elif v != f[p]:
                 clashes.append((first[p], j, p))
     if clashes:
         raise NotWellDefined(min(clashes)[2])

@@ -222,16 +222,20 @@ class TestLeastMapPastBruteForce:
 class TestOneSearchPerSide:
     @pytest.mark.parametrize("space", [blocks(5, 2), crown(5)])
     def test_two_searches(self, space, monkeypatch):
+        # One full search on a, then one matching walk on b towards a's table.
         calls = []
         search = refine.canonical_order
 
         def counted(*args, **kwargs):
-            calls.append(1)
-            return search(*args, **kwargs)
+            result = search(*args, **kwargs)
+            calls.append((kwargs.get("target"), result))
+            return result
 
         monkeypatch.setattr(refine, "canonical_order", counted)
         h = find_homeomorphism(space, shuffled(space, 4))
         assert h is not None and len(calls) == 2
+        (first_target, full), (walk_target, _) = calls
+        assert first_target is None and walk_target == full.encoding
 
     def test_search_result_unpacks(self):
         result = refine.canonical_order(crown(5).masks)
