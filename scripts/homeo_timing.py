@@ -8,7 +8,11 @@ color refinement cannot separate, and two block spaces whose
 neighborhood sizes differ.  For each direction the script prints the
 best of k wall-clock runs in seconds and the first 16 hex digits of the
 sha256 of the map, or ``none`` when there is no homeomorphism, so two
-checkouts can be compared for speed and for identical answers.
+checkouts can be compared for speed and for identical answers.  For a
+found map it also prints the best of k times of ``is_continuous`` and of
+the homeomorphism check ``find_homeomorphism`` ends with, in
+milliseconds, each with its answer.  Check-only rows follow: the same two checks on larger spaces
+and their known relabeling, with no search.
 Divisibility spaces run up to the given bound.  Run with::
 
     PYTHONPATH=src python scripts/homeo_timing.py [max_bound] [k]
@@ -22,10 +26,10 @@ import random
 import sys
 import time
 
-from finitetop.constructions import disjoint_sum
+from finitetop.constructions import disjoint_sum, product
 from finitetop.core import from_neighborhoods, relabel
-from finitetop.generators import blocks, discrete, divisor
-from finitetop.maps import find_homeomorphism
+from finitetop.generators import blocks, chain, discrete, divisor, random_space
+from finitetop.maps import SpaceMap, _is_structure_isomorphism, find_homeomorphism, is_continuous
 
 SEED = 7
 
@@ -52,8 +56,26 @@ def pairs(max_bound: int):
     yield "blocks(5, 2) vs blocks(2, 5)", blocks(5, 2), blocks(2, 5)
 
 
+def best_of(k: int, call):
+    """The least wall-clock seconds of k calls, and the last call's answer."""
+    best = float("inf")
+    for _ in range(k):
+        start = time.perf_counter()
+        out = call()
+        best = min(best, time.perf_counter() - start)
+    return best, out
+
+
+def checks(h: SpaceMap, k: int) -> str:
+    """Best-of-k milliseconds and answers of is_continuous and the homeomorphism check."""
+    tc, cont = best_of(k, lambda: is_continuous(h))
+    ti, iso = best_of(k, lambda: _is_structure_isomorphism(h.source, h.target, h.f))
+    return f"{tc * 1e3:>9.3f} {cont!s:<5} {ti * 1e3:>9.3f} {iso}"
+
+
 def main(max_bound: int, k: int) -> None:
-    print(f"{'space':<42} {'direction':<22} {'best s':>9}  map sha256")
+    print(f"{'space':<42} {'direction':<22} {'best s':>9}  {'map sha256':<16} "
+          f"{'cont ms':>9} {'':<5} {'check ms':>9}")
     for name, space, other in pairs(max_bound):
         perm = list(range(other.n))
         random.Random(SEED).shuffle(perm)
@@ -62,13 +84,21 @@ def main(max_bound: int, k: int) -> None:
             ("original → relabeled", (space, relabeled)),
             ("relabeled → original", (relabeled, space)),
         ):
-            best = float("inf")
-            for _ in range(k):
-                start = time.perf_counter()
-                h = find_homeomorphism(a, b)
-                best = min(best, time.perf_counter() - start)
-            sha = "none" if h is None else hashlib.sha256(repr(h.f).encode()).hexdigest()[:16]
-            print(f"{name:<42} {direction:<22} {best:>9.4f}  {sha}", flush=True)
+            best, h = best_of(k, lambda: find_homeomorphism(a, b))
+            if h is None:
+                print(f"{name:<42} {direction:<22} {best:>9.4f}  none", flush=True)
+                continue
+            sha = hashlib.sha256(repr(h.f).encode()).hexdigest()[:16]
+            print(f"{name:<42} {direction:<22} {best:>9.4f}  {sha:<16} {checks(h, k)}", flush=True)
+    for name, space in (
+        ("random_space(1024, 2)", random_space(1024, 2)),
+        ("product(chain(64), chain(64))", product(chain(64), chain(64))),
+    ):
+        perm = list(range(space.n))
+        random.Random(SEED).shuffle(perm)
+        h = SpaceMap(space, relabel(space, perm), tuple(perm))
+        print(f"{name:<42} {'check only, known map':<22} {'':>9}  {'':<16} {checks(h, k)}",
+              flush=True)
 
 
 if __name__ == "__main__":

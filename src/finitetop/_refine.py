@@ -102,34 +102,56 @@ def owners(masks: Sequence[int]) -> dict[int, int]:
     return out
 
 
-def first_violation(masks: Sequence[int]) -> tuple[int, int] | None:
-    """The first (x, y) in id order with y in masks[x] and masks[y] not inside it, or None."""
-    for x, mx in enumerate(masks):
-        m = mx & ~(1 << x)  # masks[x] lies inside itself
+def first_violation(
+    masks: Sequence[int], images: Sequence[int] | None = None
+) -> tuple[int, int] | None:
+    """The first (x, y) in id order with y in masks[x] and images[y] not inside images[x].
+
+    ``images`` defaults to ``masks`` itself: the down-closure test.
+    """
+    images = masks if images is None else images
+    x = 0  # counted by hand: building enumerate's pairs slows the census walk
+    for mx in masks:
+        out = ~images[x]
+        m = mx & ~(1 << x)  # images[x] lies inside itself
         while m:
             low = m & -m
-            if masks[low.bit_length() - 1] & ~mx:
+            if images[low.bit_length() - 1] & out:
                 return x, low.bit_length() - 1
             m ^= low
+        x += 1
     return None
 
 
-def closure_violation(masks: Sequence[int]) -> tuple[int, int] | None:
-    """``first_violation(masks)``, proving a valid array in near-linear time.
+def closure_violation(
+    masks: Sequence[int], images: Sequence[int] | None = None
+) -> tuple[int, int] | None:
+    """``first_violation(masks, images)``, proving a valid array in near-linear time.
 
     The array must be reflexive, or the loop may not end.  Each distinct
     mask M is covered by its owners, then by the mask of its highest
-    uncovered member, which must lie inside M and so is a proper subset:
-    by induction on |M| every mask that passes is down-closed.  Only a
-    failure pays for the ordered scan that names the witness.
+    uncovered member y, whose image must lie inside T, the image of M's
+    owners.  Without ``images`` T = M, so masks[y] is a proper subset of
+    M, and by induction on |M| every mask that passes is down-closed.
+    Given ``images``, masks must be a valid space.  T is then the image
+    of M's least owner, and every owner must have image T, since each
+    owner lies in the others' masks; by induction every member of
+    masks[y] maps inside images[y], hence inside T.  Only a failure pays
+    for the ordered scan that names the witness.
     """
+    img = masks if images is None else images
     for m, own in owners(masks).items():
+        t = m
+        if images is not None:  # owners share a mask, so only images can tell them apart
+            t = images[(own & -own).bit_length() - 1]
+            if own & own - 1 and any(images[z] != t for z in iter_bits(own)):
+                return first_violation(masks, images)
         rest = m & ~own
         while rest:
-            s = masks[rest.bit_length() - 1]
-            if s & ~m:
-                return first_violation(masks)
-            rest &= ~s
+            y = rest.bit_length() - 1
+            if img[y] & ~t:
+                return first_violation(masks, images)
+            rest &= ~masks[y]
     return None
 
 

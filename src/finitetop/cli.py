@@ -36,7 +36,7 @@ import re
 import sys
 import traceback
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import NoReturn, Sequence
 
@@ -69,17 +69,23 @@ class SpaceDocument:
     points: tuple[str, ...]
     neighborhoods: tuple[tuple[str, ...], ...]
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        """Each point label's id (the last one, should a label repeat)."""
+        return {lab: i for i, lab in enumerate(self.points)}
+
     def to_space(self) -> Space:
         """The validated space; every defect of the document is a ValidationError."""
         n = len(self.points)
-        bit = {lab: 1 << i for i, lab in enumerate(self.points)}
-        if len(bit) != n:
+        index = self._index
+        if len(index) != n:
             raise ValidationError(f"duplicate point label {_first_repeat(self.points)!r}")
         if len(self.neighborhoods) < n:
             missing = self.points[len(self.neighborhoods)]
             raise ValidationError(f"no neighborhood for point {missing!r}")
         if len(self.neighborhoods) > n:
             raise ValidationError(f"{len(self.neighborhoods)} neighborhoods for {n} points")
+        bit = {lab: 1 << i for lab, i in index.items()}  # one lookup per member, not two
         masks = []
         for lab, members in zip(self.points, self.neighborhoods):
             try:
@@ -132,7 +138,7 @@ def serialize(doc: SpaceDocument) -> str:
     _check_label(doc.name)
     for lab in doc.points:
         _check_label(lab)
-    index = {lab: i for i, lab in enumerate(doc.points)}
+    index = doc._index
     lines = [f"space {doc.name}"]
     lines.append(" ".join(["points", *doc.points]).rstrip())
     for lab, members in zip(doc.points, doc.neighborhoods):
@@ -155,12 +161,14 @@ def parse(text: str) -> SpaceDocument:
     """Parse a space document; raises ParseError with line and column.
 
     Runs in time linear in the document: each line is split once, labels
-    are looked up in a set, and a record is walked token by token only
-    when a whole-row test has already found an error in it.
+    are looked up in a dict, and a record is walked token by token only
+    when a whole-row test has already found an error in it.  The dict
+    maps each declared label to itself, so every row member is stored as
+    the string in ``points``: the document holds one string per label.
     """
     name: str | None = None
     points: tuple[str, ...] | None = None
-    declared: set[str] = set()
+    declared: dict[str, str] = {}
     nbhds: dict[str, tuple[str, ...]] = {}
     last_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -180,8 +188,11 @@ def parse(text: str) -> SpaceDocument:
             if label in nbhds:
                 _fail(lineno, raw, 1, f"duplicate nbhd record for {label!r}")
             row = toks[2:]
-            members = set(row)
-            if len(members) != len(row) or not declared.issuperset(members):
+            try:
+                members = tuple(map(declared.__getitem__, row))
+            except KeyError:
+                members = ()
+            if len(members) != len(row) or len(set(members)) != len(row):
                 seen: set[str] = set()
                 for i, tok in enumerate(row, start=2):
                     if tok not in declared:
@@ -189,7 +200,7 @@ def parse(text: str) -> SpaceDocument:
                     if tok in seen:
                         _fail(lineno, raw, i, f"repeated member {tok!r}")
                     seen.add(tok)
-            nbhds[label] = tuple(row)
+            nbhds[label] = members
         elif head == "space":
             if name is not None:
                 _fail(lineno, raw, 0, "duplicate space record")
@@ -204,7 +215,7 @@ def parse(text: str) -> SpaceDocument:
             if points is not None:
                 _fail(lineno, raw, 0, "duplicate points record")
             points = tuple(toks[1:])
-            declared = set(points)
+            declared = dict(zip(points, points))
             if len(declared) != len(points) or not all(map(_LABEL_RE.match, points)):
                 seen = set()
                 for i, tok in enumerate(points, start=1):
@@ -227,8 +238,7 @@ def parse(text: str) -> SpaceDocument:
 
 def parse_glue(text: str, src: SpaceDocument, dst: SpaceDocument) -> GlueData:
     """Parse a glue data file against the two documents it connects."""
-    src_index = {lab: i for i, lab in enumerate(src.points)}
-    dst_index = {lab: i for i, lab in enumerate(dst.points)}
+    src_index, dst_index = src._index, dst._index
     pairs: list[tuple[int, int]] = []
     local: list[dict[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -379,14 +389,17 @@ def _split_labels(raw: str) -> list[str]:
     return [part for part in raw.split(",") if part]
 
 
+def _point_id(doc: SpaceDocument, lab: str) -> int:
+    """The id of a label named on the command line."""
+    try:
+        return doc._index[lab]
+    except KeyError:
+        raise ValidationError(f"undeclared point {lab!r}") from None
+
+
 def _cmd_subspace(args: argparse.Namespace) -> int:
     doc, space = _load(args.file)
-    index = {lab: i for i, lab in enumerate(doc.points)}
-    ids = []
-    for lab in _split_labels(args.points):
-        if lab not in index:
-            raise ValidationError(f"undeclared point {lab!r}")
-        ids.append(index[lab])
+    ids = [_point_id(doc, lab) for lab in _split_labels(args.points)]
     return _emit(
         subspace(space, PointSet.from_points(space.n, ids)), f"{doc.name}-sub"
     )
@@ -394,18 +407,16 @@ def _cmd_subspace(args: argparse.Namespace) -> int:
 
 def _cmd_quotient(args: argparse.Namespace) -> int:
     doc, space = _load(args.file)
-    index = {lab: i for i, lab in enumerate(doc.points)}
     blocks: list[list[int]] = []
     listed: set[int] = set()
     for chunk in args.classes.split("|"):
         block = []
         for lab in _split_labels(chunk):
-            if lab not in index:
-                raise ValidationError(f"undeclared point {lab!r}")
-            if index[lab] in listed:
+            p = _point_id(doc, lab)
+            if p in listed:
                 raise ValidationError(f"point {lab!r} listed twice")
-            listed.add(index[lab])
-            block.append(index[lab])
+            listed.add(p)
+            block.append(p)
         if block:
             blocks.append(block)
     blocks.extend([p] for p in range(space.n) if p not in listed)
@@ -420,8 +431,7 @@ def _cmd_t0(args: argparse.Namespace) -> int:
 
 
 def _parse_map(raw: str, src: SpaceDocument, dst: SpaceDocument) -> SpaceMap:
-    src_index = {lab: i for i, lab in enumerate(src.points)}
-    dst_index = {lab: i for i, lab in enumerate(dst.points)}
+    src_index, dst_index = src._index, dst._index
     f = [-1] * len(src.points)
     for entry in _split_labels(raw):
         if ":" not in entry:

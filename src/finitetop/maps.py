@@ -52,16 +52,19 @@ def is_continuous(m: SpaceMap) -> bool:
     """True iff f(S(x)) lies inside S(f(x)) for every source point x.
 
     This pointwise criterion is equivalent to every preimage of a target
-    basis set being open.
+    basis set being open.  In a valid target f(y) ∈ S(f(x)) exactly when
+    S(f(y)) ⊆ S(f(x)), so f is continuous iff y ∈ S(x) implies
+    S(f(y)) ⊆ S(f(x)): it preserves the specialization order.  That is
+    the down-closure test ``_refine.closure_violation`` makes in
+    near-linear time when it validates a space, run on the images.
     """
     return _continuity_witness(m) is None
 
 
 def _continuity_witness(m: SpaceMap) -> int | None:
-    for x in range(m.source.n):
-        if m.image_of(m.source.masks[x]) & ~m.target.masks[m.f[x]]:
-            return x
-    return None
+    """The least source point x with f(S(x)) not inside S(f(x)), or None."""
+    bad = _refine.closure_violation(m.source.masks, list(map(m.target.masks.__getitem__, m.f)))
+    return None if bad is None else bad[0]
 
 
 def _openness_witness(m: SpaceMap) -> int | None:
@@ -82,8 +85,11 @@ def is_open_map(m: SpaceMap) -> bool:
 def image_space(m: SpaceMap) -> tuple[Space, SpaceMap]:
     """The image of a continuous open map, with the corestricted map.
 
-    The image subspace has minimal neighborhoods f(S(x)); this is
-    re-verified point by point before returning.
+    NotContinuous names the least x with f(S(x)) not inside S(f(x)),
+    found by the order-preservation check of ``is_continuous``, and
+    NotOpen the least x with f(S(x)) not open in f(X).  The image
+    subspace has minimal neighborhoods f(S(x)); this is re-verified
+    point by point before returning.
     """
     w = _continuity_witness(m)
     if w is not None:
@@ -103,10 +109,16 @@ def image_space(m: SpaceMap) -> tuple[Space, SpaceMap]:
 
 
 def _is_structure_isomorphism(a: Space, b: Space, f: Sequence[int]) -> bool:
+    """True iff f is a bijection that maps each S(x) onto S(f(x)).
+
+    An order-preserving bijection maps S(x) into S(f(x)), and onto it
+    when the two have the same size.
+    """
     if a.n != b.n or sorted(f) != list(range(a.n)):
         return False
-    bit = [1 << y for y in f].__getitem__  # f is a bijection, so images sum without overlap
-    return all(sum(map(bit, iter_bits(m))) == b.masks[y] for m, y in zip(a.masks, f))
+    images = list(map(b.masks.__getitem__, f))
+    sizes = list(map(int.bit_count, a.masks)) == list(map(int.bit_count, images))
+    return sizes and _refine.closure_violation(a.masks, images) is None
 
 
 def find_homeomorphism(
@@ -235,6 +247,6 @@ def glue(x: Space, y: Space, g: GlueData) -> SpaceMap:
                 clashes.append((first[p], j, p))
     if clashes:
         raise NotWellDefined(min(clashes)[2])
-    if x.n != y.n or not _is_structure_isomorphism(x, y, f):
+    if not _is_structure_isomorphism(x, y, f):
         raise ResultNotHomeomorphism()
     return SpaceMap(x, y, tuple(f))

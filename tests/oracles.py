@@ -211,13 +211,28 @@ def continuous_by_preimage(src: Space, dst: Space, f: tuple[int, ...]) -> bool:
     return True
 
 
-def first_violation_by_sets(masks: list[int]) -> tuple[int, int] | None:
-    """The first (x, y) in id order with y in S(x) but S(y) not a subset of S(x)."""
+def first_violation_by_sets(
+    masks: list[int], images: list[int] | None = None
+) -> tuple[int, int] | None:
+    """The first (x, y) in id order with y in S(x) but I(y) not a subset of I(x).
+
+    I is ``images`` read as sets, or S itself when it is not given.
+    """
     sets = [set(bits_of(m)) for m in masks]
+    imgs = sets if images is None else [set(bits_of(m)) for m in images]
     for x, sx in enumerate(sets):
         for y in sorted(sx):
-            if not sets[y] <= sx:
+            if not imgs[y] <= imgs[x]:
                 return x, y
+    return None
+
+
+def continuity_witness_by_definition(src: Space, dst: Space, f: tuple[int, ...]) -> int | None:
+    """The first source point x whose f(S(x)) is not a subset of S(f(x)), or None."""
+    for x in range(src.n):
+        image = {f[y] for y in bits_of(src.masks[x])}
+        if not image <= set(bits_of(dst.masks[f[x]])):
+            return x
     return None
 
 

@@ -1,6 +1,6 @@
-"""The down-closure check behind `Space`, `from_preorder` and the census walk,
-and the point `glue` names on a conflict, pinned against set-based and
-pairwise references."""
+"""The down-closure check behind `Space`, `from_preorder`, the census walk and
+continuity, and the point `glue` names on a conflict, pinned against
+set-based and pairwise references."""
 
 from itertools import product as iproduct
 
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitetop._refine import closure_violation, first_violation, image, owners
+from finitetop.census import enumerate_spaces
 from finitetop.core import Space, from_preorder, relabel
 from finitetop.errors import (
     MinimalityViolation,
@@ -102,6 +103,53 @@ class TestClosureCheck:
         for masks in [(0b10, 0b11), (0b01, 0b01)]:
             with pytest.raises(ReflexivityViolation):
                 Space(len(masks), masks)
+
+
+class TestClosureCheckWithImages:
+    """The violation of y in masks[x] with images[y] not inside images[x]."""
+
+    def test_owners_whose_images_differ(self):
+        # indiscrete(2): the owners 0 and 1 share a mask, so their images must agree
+        for images, want in [((1, 2), (0, 1)), ((3, 1), (1, 0)), ((1, 3), (0, 1)), ((2, 2), None)]:
+            assert first_violation_by_sets([3, 3], list(images)) == want
+            assert first_violation([3, 3], images) == want
+            assert closure_violation([3, 3], images) == want
+
+    def test_every_image_table_on_spaces_up_to_three_points(self):
+        for n in range(4):
+            for s in enumerate_spaces(n):
+                for images in iproduct(range(8), repeat=n):
+                    want = first_violation_by_sets(list(s.masks), list(images))
+                    assert first_violation(s.masks, images) == want, (s.masks, images)
+                    assert closure_violation(s.masks, images) == want, (s.masks, images)
+
+    @settings(max_examples=300)
+    @given(spaces(max_classes=6, max_class_size=3), spaces(max_classes=4), st.data())
+    def test_images_of_maps_between_spaces(self, s, t, data):
+        # the images a map into t gives: target neighborhoods, often shared
+        if t.n == 0:
+            return
+        f = data.draw(st.lists(st.integers(0, t.n - 1), min_size=s.n, max_size=s.n))
+        images = [t.masks[y] for y in f]
+        want = first_violation_by_sets(list(s.masks), images)
+        assert first_violation(s.masks, images) == want
+        assert closure_violation(s.masks, images) == want
+
+    @settings(max_examples=300)
+    @given(spaces(max_classes=6, max_class_size=3), st.data())
+    def test_arbitrary_image_tables(self, s, data):
+        images = data.draw(st.lists(st.integers(0, 15), min_size=s.n, max_size=s.n))
+        want = first_violation_by_sets(list(s.masks), images)
+        assert first_violation(s.masks, images) == want
+        assert closure_violation(s.masks, images) == want
+
+    def test_masks_as_their_own_images(self):
+        grid = relabel(Space._of(16, tuple(
+            sum(1 << (u * 4 + v) for u in range(i + 1) for v in range(j + 1))
+            for i in range(4) for j in range(4)
+        )), [(x * 5) % 16 for x in range(16)]).masks
+        assert closure_violation(grid, grid) is None
+        assert first_violation(grid, grid) is None
 
 
 class TestFromPreorder:

@@ -125,6 +125,15 @@ def test_any_whitespace_and_member_order_parse_alike(case, data):
     assert serialize(got) == serialize(doc)
 
 
+def test_row_members_are_the_declared_strings():
+    # labels longer than one character, which str.split never shares
+    doc = parse(
+        "space S\npoints p10 p11 p12\nnbhd p10: p10\nnbhd p11: p10 p11\nnbhd p12: p12 p10\n"
+    )
+    declared = {lab: lab for lab in doc.points}
+    assert all(m is declared[m] for row in doc.neighborhoods for m in row)
+
+
 class TestToSpaceErrors:
     """A hand-built document fails with a ValidationError naming the label."""
 

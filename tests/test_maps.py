@@ -19,6 +19,7 @@ from finitetop.generators import blocks, chain, discrete, divisor, indiscrete, r
 from finitetop.maps import (
     GlueData,
     SpaceMap,
+    _is_structure_isomorphism,
     find_homeomorphism,
     glue,
     image_space,
@@ -28,6 +29,7 @@ from finitetop.maps import (
 
 from oracles import (
     all_isomorphisms_bruteforce,
+    continuity_witness_by_definition,
     homeomorphic_bruteforce,
     least_isomorphism_backtracking,
 )
@@ -64,6 +66,40 @@ class TestContinuity:
     def test_discontinuous_map(self):
         # sending the bottom of the chain above its top reverses the order
         assert not is_continuous(SpaceMap(chain(2), chain(2), (1, 0)))
+
+    def test_splitting_points_with_one_neighborhood(self):
+        # 0 and 1 share a neighborhood; their images' neighborhoods differ
+        m = SpaceMap(indiscrete(2), discrete(2), (0, 1))
+        assert not is_continuous(m)
+        with pytest.raises(NotContinuous) as exc:
+            image_space(m)
+        assert exc.value.point == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_witness_matches_definition(self, seed):
+        rng = random.Random(seed)
+        pool = [
+            chain(3), blocks(2, 3), indiscrete(3), discrete(3), crown(3),
+            product(chain(2), indiscrete(2)), disjoint_sum(blocks(2, 2), chain(2)),
+            shuffled(product(crown(2), indiscrete(2)), seed), random_space(9, seed),
+        ]
+        for _ in range(150):
+            a, b = rng.choice(pool), rng.choice(pool)
+            if rng.random() < 0.3:
+                f = (rng.randrange(b.n),) * a.n
+            else:
+                f = tuple(rng.randrange(b.n) for _ in range(a.n))
+            m = SpaceMap(a, b, f)
+            want = continuity_witness_by_definition(a, b, f)
+            try:
+                image_space(m)
+                got = None
+            except NotContinuous as err:
+                got = err.point
+            except NotOpen:
+                got = None
+            assert got == want, (a.masks, b.masks, f)
+            assert is_continuous(m) == (want is None)
 
 
 class TestOpenMap:
@@ -105,6 +141,40 @@ class TestImageSpace:
             assert is_continuous(class_map) and is_open_map(class_map)
             img, _ = image_space(class_map)
             assert canonical_form(img) == canonical_form(q)
+
+
+class TestStructureIsomorphism:
+    """The order check behind find_homeomorphism and glue, against relabeling."""
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (crown(4), disjoint_sum(crown(2), crown(2))),
+            (crown(4), shuffled(crown(4), 3)),
+            (blocks(3, 2), shuffled(blocks(3, 2), 5)),
+            (product(chain(3), indiscrete(2)), shuffled(product(chain(3), indiscrete(2)), 1)),
+            (random_space(12, 4), shuffled(random_space(12, 4), 2)),
+            (chain(4), discrete(4)),
+            (discrete(4), chain(4)),  # every bijection is monotone; none is onto
+            (disjoint_sum(discrete(2), chain(2)), shuffled(disjoint_sum(chain(2), chain(2)), 4)),
+        ],
+    )
+    def test_random_bijections_match_relabeling(self, a, b):
+        rng = random.Random(a.n)
+        for _ in range(300):
+            f = list(range(a.n))
+            rng.shuffle(f)
+            assert _is_structure_isomorphism(a, b, f) == (relabel(a, f).masks == b.masks)
+
+    def test_found_maps_pass_and_non_bijections_fail(self):
+        a = product(chain(3), indiscrete(2))
+        b = shuffled(a, 9)
+        h = find_homeomorphism(a, b)
+        assert _is_structure_isomorphism(a, b, h.f)
+        assert not _is_structure_isomorphism(a, b, [h.f[0]] * a.n)
+        assert not _is_structure_isomorphism(a, chain(5), list(range(5)))
+        # order-preserving, but S(1) = {1} does not map onto {0, 1}
+        assert not _is_structure_isomorphism(discrete(2), chain(2), [0, 1])
 
 
 class TestFindHomeomorphism:
