@@ -13,11 +13,11 @@ search a color is the position of its cell's first point.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, compress, count, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
+from ._value import Value
 from .errors import InternalError, SearchBudgetExceeded
 
 #: Individualizations one search may make before it gives up.
@@ -337,20 +337,24 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    """What one canonical search found and what it cost; unpacks as (order, generators, aut)."""
+class SearchResult(Value):
+    """What one canonical search found and what it cost; unpacks as (order, generators, aut).
 
-    #: order[i] is the point that becomes i in the canonical form.
-    order: tuple[int, ...]
-    #: Automorphisms that generate Aut.
-    generators: tuple[tuple[int, ...], ...]
-    #: |Aut|.
-    aut: int
-    #: The mask table relabeled by ``order``: the canonical form's masks.
-    encoding: tuple[int, ...]
-    #: Individualizations the search made: the count ``budget`` bounds.
-    individualizations: int
+    ``order[i]`` is the point that becomes i in the canonical form,
+    ``generators`` are automorphisms that generate Aut, ``aut`` is |Aut|,
+    ``encoding`` is the mask table relabeled by ``order`` (the canonical
+    form's masks) and ``individualizations`` counts the individualizations
+    the search made, the count ``budget`` bounds.
+    """
+
+    def __init__(
+        self, order: tuple[int, ...], generators: tuple[tuple[int, ...], ...], aut: int,
+        encoding: tuple[int, ...], individualizations: int,
+    ) -> None:
+        self.__dict__.update(
+            order=order, generators=generators, aut=aut, encoding=encoding,
+            individualizations=individualizations,
+        )
 
     def __iter__(self) -> Iterator:
         return iter((self.order, self.generators, self.aut))

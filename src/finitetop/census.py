@@ -12,11 +12,11 @@ candidate arrays grows like 2^(n(n-1)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 from math import factorial
 
 from ._refine import canonical_order, first_violation
+from ._value import Value
 from .core import Space
 from .errors import InternalError, InvalidArgument, TooLarge
 from .invariants import index_of, min_of
@@ -41,20 +41,20 @@ def enumerate_spaces(n: int):
             yield Space._of(n, masks)
 
 
-@dataclass(frozen=True)
-class CensusClass:
-    representative: Space
-    size: int
-    min_x: int
-    index_x: int
+class CensusClass(Value):
+    def __init__(self, representative: Space, size: int, min_x: int, index_x: int) -> None:
+        self.__dict__.update(
+            representative=representative, size=size, min_x=min_x, index_x=index_x
+        )
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    n: int
-    total_labeled: int
-    class_count: int
-    per_class: tuple[CensusClass, ...]
+class CensusRow(Value):
+    def __init__(
+        self, n: int, total_labeled: int, class_count: int, per_class: tuple[CensusClass, ...]
+    ) -> None:
+        self.__dict__.update(
+            n=n, total_labeled=total_labeled, class_count=class_count, per_class=per_class
+        )
 
 
 def census(n: int) -> CensusRow:

@@ -34,13 +34,12 @@ import argparse
 import os
 import re
 import sys
-import traceback
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
 from typing import NoReturn, Sequence
 
 from ._refine import iter_bits
+from ._value import Value
 from .census import CENSUS_CAP, census
 from .constructions import Partition, disjoint_sum, product, quotient, subspace, t0_quotient
 from .core import PointSet, Space
@@ -61,13 +60,13 @@ _LABEL_RE = re.compile(r"[^\s#:]+\Z")
 _TOKEN_RE = re.compile(r"\S+")
 
 
-@dataclass(frozen=True)
-class SpaceDocument:
+class SpaceDocument(Value):
     """A named space given by point labels and per-point neighborhood labels."""
 
-    name: str
-    points: tuple[str, ...]
-    neighborhoods: tuple[tuple[str, ...], ...]
+    def __init__(
+        self, name: str, points: tuple[str, ...], neighborhoods: tuple[tuple[str, ...], ...]
+    ) -> None:
+        self.__dict__.update(name=name, points=points, neighborhoods=neighborhoods)
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -630,12 +629,14 @@ def run(argv: Sequence[str] | None = None) -> int:
         # the reader went away: not an input error; main exits quietly
         raise
     except Exception as err:
-        if isinstance(err, _INPUT_ERRORS) and not isinstance(err, InternalError):
-            if os.environ.get("FINITETOP_VERBOSE"):
-                traceback.print_exc()
+        bad_input = isinstance(err, _INPUT_ERRORS) and not isinstance(err, InternalError)
+        if not bad_input or os.environ.get("FINITETOP_VERBOSE"):
+            import traceback  # loaded only where a traceback is printed
+
+            traceback.print_exc()
+        if bad_input:
             print(f"error: {err}", file=sys.stderr)
             return 2
-        traceback.print_exc()
         print(f"internal error: {err}", file=sys.stderr)
         return 3
 

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
 
 from ._refine import closure_violation, iter_bits, owners, pack
+from ._value import Value
 from .core import PointSet, Space
 from .errors import InternalError, InvalidArgument, PartitionMismatch, SizeOverflow
 
@@ -14,8 +14,7 @@ from .errors import InternalError, InvalidArgument, PartitionMismatch, SizeOverf
 DEFAULT_CARRIER_BOUND = 4096
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """Equivalence classes over a carrier.
 
     ``class_of[x]`` is the class id of point x.  Class ids are dense
@@ -23,23 +22,20 @@ class Partition:
     serialize deterministically.
     """
 
-    carrier_size: int
-    class_of: tuple[int, ...]
-    k: int
-
-    def __post_init__(self) -> None:
-        if len(self.class_of) != self.carrier_size:
+    def __init__(self, carrier_size: int, class_of: tuple[int, ...], k: int) -> None:
+        if len(class_of) != carrier_size:
             raise InvalidArgument("class_of length differs from carrier size")
         least: dict[int, int] = {}
-        for x, c in enumerate(self.class_of):
-            if not 0 <= c < self.k:
-                raise InvalidArgument(f"class id {c} outside 0..{self.k - 1}")
+        for x, c in enumerate(class_of):
+            if not 0 <= c < k:
+                raise InvalidArgument(f"class id {c} outside 0..{k - 1}")
             least.setdefault(c, x)
-        if len(least) != self.k:
+        if len(least) != k:
             raise InvalidArgument("some class id is never used")
-        firsts = [least[c] for c in range(self.k)]
+        firsts = [least[c] for c in range(k)]
         if firsts != sorted(firsts):
             raise InvalidArgument("class ids are not ordered by least member")
+        self.__dict__.update(carrier_size=carrier_size, class_of=class_of, k=k)
 
     @classmethod
     def from_class_of(cls, assignment: Sequence[int]) -> "Partition":
@@ -70,7 +66,7 @@ class Partition:
 
     @classmethod
     def _of(cls, carrier_size: int, class_of: tuple[int, ...], k: int) -> "Partition":
-        """A partition from fields known to be valid; skips ``__post_init__``."""
+        """A partition from fields known to be valid; skips the checks."""
         part = object.__new__(cls)
         part.__dict__.update(carrier_size=carrier_size, class_of=class_of, k=k)
         return part

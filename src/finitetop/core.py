@@ -14,13 +14,13 @@ including :func:`from_preorder`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from . import _refine
 from ._refine import iter_bits
+from ._value import Value
 from .errors import (
     InvalidArgument,
     MinimalityViolation,
@@ -37,20 +37,15 @@ from .errors import (
 DEFAULT_OPEN_SET_LIMIT = 1 << 20
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(Value):
     """An immutable subset of ``range(size)`` stored as a bitmask."""
 
-    size: int
-    bits: int = 0
-
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise InvalidArgument(f"negative carrier size {self.size}")
-        if not 0 <= self.bits < (1 << self.size):
-            raise InvalidArgument(
-                f"bitmask 0x{self.bits:x} does not fit a carrier of size {self.size}"
-            )
+    def __init__(self, size: int, bits: int = 0) -> None:
+        if size < 0:
+            raise InvalidArgument(f"negative carrier size {size}")
+        if not 0 <= bits < (1 << size):
+            raise InvalidArgument(f"bitmask 0x{bits:x} does not fit a carrier of size {size}")
+        self.__dict__.update(size=size, bits=bits)
 
     @classmethod
     def from_points(cls, size: int, points: Iterable[int]) -> "PointSet":
@@ -109,25 +104,22 @@ class PointSet:
         return f"PointSet({self.size}, {{{inner}}})"
 
 
-@dataclass(frozen=True)
-class SubsetFamily:
+class SubsetFamily(Value):
     """An ordered family of subsets of a common carrier.
 
     Duplicates are permitted on input; the constructors that consume a
     family deduplicate, since families are set-valued mathematically.
     """
 
-    carrier_size: int
-    sets: tuple[PointSet, ...]
-
-    def __post_init__(self) -> None:
-        if self.carrier_size < 0:
-            raise InvalidArgument(f"negative carrier size {self.carrier_size}")
-        for s in self.sets:
-            if s.size != self.carrier_size:
+    def __init__(self, carrier_size: int, sets: tuple[PointSet, ...]) -> None:
+        if carrier_size < 0:
+            raise InvalidArgument(f"negative carrier size {carrier_size}")
+        for s in sets:
+            if s.size != carrier_size:
                 raise InvalidArgument(
-                    f"family member has carrier {s.size}, expected {self.carrier_size}"
+                    f"family member has carrier {s.size}, expected {carrier_size}"
                 )
+        self.__dict__.update(carrier_size=carrier_size, sets=sets)
 
     @classmethod
     def of(cls, carrier_size: int, sets: Iterable[Iterable[int]]) -> "SubsetFamily":
@@ -143,8 +135,7 @@ class SubsetFamily:
         return list(seen)
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(Value):
     """A finite Alexandroff space.
 
     ``masks[x]`` is the minimal open neighborhood of point ``x`` as a
@@ -156,16 +147,22 @@ class Space:
     hashable, and safe to share between threads.
     """
 
-    n: int
-    masks: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
+    def __init__(
+        self, n: int, masks: Sequence[int], labels: Sequence[str] | None = None
+    ) -> None:
+        self.__dict__.update(n=n, masks=masks, labels=labels)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Validate the fields ``__init__`` stored; masks and labels become tuples.
+
+        A method of its own so that validation can be wrapped and timed
+        apart from construction (``perfbench/tracing.py`` patches it).
+        """
         n = self.n
         if n < 0:
             raise InvalidArgument(f"negative point count {n}")
-        masks = tuple(self.masks)
-        object.__setattr__(self, "masks", masks)
+        masks = self.__dict__["masks"] = tuple(self.masks)
         if len(masks) != n:
             raise InvalidArgument(f"expected {n} neighborhoods, got {len(masks)}")
         full = (1 << n) - 1
@@ -178,11 +175,11 @@ class Space:
         bad = _refine.closure_violation(masks)
         if bad is not None:
             raise MinimalityViolation(*bad)
-        object.__setattr__(self, "labels", _checked_labels(n, self.labels))
+        self.__dict__["labels"] = _checked_labels(n, self.labels)
 
     @classmethod
     def _of(cls, n: int, masks: tuple[int, ...], labels=None) -> "Space":
-        """A space from fields known to be valid; skips ``__post_init__``."""
+        """A space from fields known to be valid; skips validation."""
         space = object.__new__(cls)
         space.__dict__.update(n=n, masks=masks, labels=labels)
         return space

@@ -11,9 +11,9 @@ matter: invariants of a truncation are not those of the infinite space.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable
 
+from ._value import Value
 from .core import Space
 from .errors import InvalidArgument
 
@@ -96,19 +96,18 @@ def random_space(n: int, seed: int, density: float = 0.5) -> Space:
     return Space._of(n, tuple(masks))
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Value):
     """A parsed request for one stock space; see :meth:`build`."""
 
-    kind: str
-    length: int = 0
-    block_count: int = 0
-    block_size: int = 0
-    bound: int = 0
-    with_top: bool = False
-    size: int = 0
-    seed: int = 0
-    density: float = 0.5
+    def __init__(
+        self, kind: str, length: int = 0, block_count: int = 0, block_size: int = 0,
+        bound: int = 0, with_top: bool = False, size: int = 0, seed: int = 0,
+        density: float = 0.5,
+    ) -> None:
+        self.__dict__.update(
+            kind=kind, length=length, block_count=block_count, block_size=block_size,
+            bound=bound, with_top=with_top, size=size, seed=seed, density=density,
+        )
 
     def build(self) -> Space:
         kind = _kind(self.kind)
@@ -118,8 +117,7 @@ class GeneratorSpec:
         return _kind(self.kind).name(self)
 
 
-@dataclass(frozen=True)
-class GeneratorKind:
+class GeneratorKind(Value):
     """One row of :data:`GENERATOR_KINDS`.
 
     ``build`` takes the ``params`` fields, then the ``flags`` fields.  On
@@ -127,10 +125,11 @@ class GeneratorKind:
     ``flags`` are the options of the same name.
     """
 
-    build: Callable[..., Space]
-    params: tuple[str, ...]
-    flags: tuple[str, ...]
-    name: Callable[[GeneratorSpec], str]
+    def __init__(
+        self, build: Callable[..., Space], params: tuple[str, ...], flags: tuple[str, ...],
+        name: Callable[[GeneratorSpec], str],
+    ) -> None:
+        self.__dict__.update(build=build, params=params, flags=flags, name=name)
 
 
 GENERATOR_KINDS = {

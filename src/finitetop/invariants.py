@@ -27,20 +27,28 @@ as their meet with ``reps``, the least id of every minimal class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _refine
+from ._value import Value
 from .core import PointSet, Space
 from .errors import EmptySpace, InternalError
 
 
-@dataclass(frozen=True)
-class _Classes:
-    owners: dict[int, int]  # in first-owner order
-    minimal: int  # every point whose neighborhood is irreducible
-    basic: int  # every point whose neighborhood is basic
-    maximal: list[int]  # maximal neighborhoods, in first-owner order
-    reps: int  # the least id of every minimal class
+class _Classes(Value):
+    """What :func:`_classify` finds.
+
+    ``owners`` maps each distinct neighborhood to the bits of its owners,
+    in first-owner order; ``minimal`` and ``basic`` hold every point whose
+    neighborhood is irreducible, resp. basic; ``maximal`` lists the
+    maximal neighborhoods in first-owner order; ``reps`` holds the least
+    id of every minimal class.
+    """
+
+    def __init__(
+        self, owners: dict[int, int], minimal: int, basic: int, maximal: list[int], reps: int
+    ) -> None:
+        self.__dict__.update(
+            owners=owners, minimal=minimal, basic=basic, maximal=maximal, reps=reps
+        )
 
 
 def _classify(space: Space) -> _Classes:
@@ -118,24 +126,24 @@ def is_discrete(space: Space) -> bool:
     return all(m == 1 << x for x, m in enumerate(space.masks))
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Value):
     """All computed invariants of one space.
 
     ``basic_points`` and ``irreducible_points`` hold one representative
     point (the least id) per distinct basic / irreducible neighborhood.
     """
 
-    n: int
-    distinct_neighborhoods: int
-    min_x: int
-    index_x: int
-    maximal_nbhds: tuple[PointSet, ...]
-    basic_points: PointSet
-    irreducible_points: PointSet
-    is_discrete: bool
-    is_hausdorff: bool
-    is_t0: bool
+    def __init__(
+        self, n: int, distinct_neighborhoods: int, min_x: int, index_x: int,
+        maximal_nbhds: tuple[PointSet, ...], basic_points: PointSet,
+        irreducible_points: PointSet, is_discrete: bool, is_hausdorff: bool, is_t0: bool,
+    ) -> None:
+        self.__dict__.update(
+            n=n, distinct_neighborhoods=distinct_neighborhoods, min_x=min_x, index_x=index_x,
+            maximal_nbhds=maximal_nbhds, basic_points=basic_points,
+            irreducible_points=irreducible_points, is_discrete=is_discrete,
+            is_hausdorff=is_hausdorff, is_t0=is_t0,
+        )
 
 
 def report(space: Space) -> InvariantReport:

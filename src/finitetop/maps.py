@@ -8,11 +8,11 @@ both conditions the image carries neighborhoods f(S(x)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import _refine
 from ._refine import DEFAULT_SEARCH_BUDGET, iter_bits
+from ._value import Value
 from .constructions import subspace
 from .core import PointSet, Space
 from .errors import (
@@ -26,20 +26,16 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class SpaceMap:
+class SpaceMap(Value):
     """A point function between two spaces; f[x] is the image of x."""
 
-    source: Space
-    target: Space
-    f: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.f) != self.source.n:
-            raise InvalidArgument(f"expected {self.source.n} images, got {len(self.f)}")
-        for x, y in enumerate(self.f):
-            if not 0 <= y < self.target.n:
+    def __init__(self, source: Space, target: Space, f: tuple[int, ...]) -> None:
+        if len(f) != source.n:
+            raise InvalidArgument(f"expected {source.n} images, got {len(f)}")
+        for x, y in enumerate(f):
+            if not 0 <= y < target.n:
                 raise InvalidArgument(f"f[{x}] = {y} outside target carrier")
+        self.__dict__.update(source=source, target=target, f=f)
 
     def image_of(self, mask: int) -> int:
         return _refine.image(mask, self.f)
@@ -156,8 +152,7 @@ def find_homeomorphism(
     return SpaceMap(a, b, tuple(f))
 
 
-@dataclass(frozen=True)
-class GlueData:
+class GlueData(Value):
     """Input for assembling a homeomorphism from per-neighborhood pieces.
 
     ``neighborhood_bijection`` pairs a representative point of each
@@ -169,8 +164,14 @@ class GlueData:
     values are exactly the members of the target one.
     """
 
-    neighborhood_bijection: tuple[tuple[int, int], ...]
-    local_maps: tuple[tuple[tuple[int, int], ...], ...]
+    def __init__(
+        self,
+        neighborhood_bijection: tuple[tuple[int, int], ...],
+        local_maps: tuple[tuple[tuple[int, int], ...], ...],
+    ) -> None:
+        if len(neighborhood_bijection) != len(local_maps):
+            raise InvalidArgument("one local map is required per neighborhood pair")
+        self.__dict__.update(neighborhood_bijection=neighborhood_bijection, local_maps=local_maps)
 
     @classmethod
     def build(
@@ -181,10 +182,6 @@ class GlueData:
         ps = tuple(pairs)
         ms = tuple(tuple(sorted(m.items())) for m in local_maps)
         return cls(ps, ms)
-
-    def __post_init__(self) -> None:
-        if len(self.neighborhood_bijection) != len(self.local_maps):
-            raise InvalidArgument("one local map is required per neighborhood pair")
 
 
 def _validate_glue(x: Space, y: Space, g: GlueData) -> list[dict[int, int]]:

@@ -333,6 +333,19 @@ class TestRun:
         err = capsys.readouterr().err
         assert "Traceback" in err and "a defect, not bad input" in err
 
+    def test_verbose_input_error_prints_a_traceback(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FINITETOP_VERBOSE", "1")
+        assert run(["validate", write(tmp_path, "syn.space", "points a\n")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "error:" in err
+        assert err.index("Traceback") < err.index("\nerror:")
+
+    def test_quiet_input_error_prints_no_traceback(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("FINITETOP_VERBOSE", raising=False)
+        assert run(["validate", write(tmp_path, "syn.space", "points a\n")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_dot_command(self, tmp_path, capsys):
         f = write(tmp_path, "s.space", SIERP_TEXT)
         assert run(["dot", f]) == 0
