@@ -301,14 +301,6 @@ def _child(
     return colors, cells
 
 
-def _swap_bits(mask: int, p: int, q: int) -> int:
-    bp = mask >> p & 1
-    bq = mask >> q & 1
-    if bp != bq:
-        mask ^= (1 << p) | (1 << q)
-    return mask
-
-
 def encode(down: Sequence[Iterable[int]], order: Sequence[int]) -> tuple[int, ...]:
     """The mask table relabeled so that point order[i] becomes i.
 
@@ -344,16 +336,23 @@ class SearchResult(Value):
     ``generators`` are automorphisms that generate Aut, ``aut`` is |Aut|,
     ``encoding`` is the mask table relabeled by ``order`` (the canonical
     form's masks) and ``individualizations`` counts the individualizations
-    the search made, the count ``budget`` bounds.
+    the search made, the count ``budget`` bounds.  The other counts split
+    the rest of the walk: ``leaves`` reached, ``leaf_automorphisms``
+    (leaves whose table equals the first leaf's), and the candidates
+    skipped as ``twin_swaps``, ``class_swaps`` or ``orbit_skips``.  Every
+    generator is a leaf automorphism, a twin swap or a class swap.
     """
 
     def __init__(
         self, order: tuple[int, ...], generators: tuple[tuple[int, ...], ...], aut: int,
-        encoding: tuple[int, ...], individualizations: int,
+        encoding: tuple[int, ...], individualizations: int, leaves: int,
+        leaf_automorphisms: int, twin_swaps: int, class_swaps: int, orbit_skips: int,
     ) -> None:
         self.__dict__.update(
             order=order, generators=generators, aut=aut, encoding=encoding,
-            individualizations=individualizations,
+            individualizations=individualizations, leaves=leaves,
+            leaf_automorphisms=leaf_automorphisms, twin_swaps=twin_swaps,
+            class_swaps=class_swaps, orbit_skips=orbit_skips,
         )
 
     def __iter__(self) -> Iterator:
@@ -379,24 +378,44 @@ def canonical_order(
     member lists S(x) are built once, the lists of points above each
     point are read off them in the same pass, and every leaf is encoded
     from them; the winning leaf's table is returned as ``encoding``.
-    The points above each point are summed into masks only when a twin
-    test first needs them, after the cheaper test on the points' own
-    masks has passed.
+    The points above each point are summed into masks only when the
+    first candidate with an explored sibling needs them for the swap
+    test below.
 
     A leaf whose table equals the first leaf's yields an automorphism
     and sends the walk back to the first path.  At a first-path node a
     candidate is skipped when it lies in the orbit of an explored
     sibling under the automorphisms found so far, all of which fix the
-    path to that node; at any node it is skipped when swapping it with
-    an explored sibling is an automorphism (a twin swap, recorded as a
-    generator).  Every child in the orbit of a first-path node's first
-    child holds a leaf equal to the first leaf, so |Aut| is the product
-    of those orbit sizes along the first path and the automorphisms
-    found generate Aut.  More than ``budget`` individualizations raise
-    SearchBudgetExceeded; the count made is returned as
-    ``individualizations``.  ``canonical_form(divisor(2000))`` takes
-    about 1.05 s (8261 individualizations) on a 2-vCPU host with
-    Python 3.11.
+    path to that node.  At any node a candidate p is skipped when a
+    swap of p with an explored sibling q is an automorphism; the swap is
+    recorded as a generator.  A class is the set of points that share a
+    mask.  With d = masks[p] ^ masks[q], A = masks[p] & d and
+    B = masks[q] & d, the swap exchanges p and q, pairs the other
+    members of A and B in ascending order and fixes every other point.
+    It is taken when ``ups[p] ^ ups[q] == d``, ``ups[x]`` being the
+    points whose mask holds x.  If p and q share a mask, d = 0 and the
+    swap is their transposition.  Otherwise, as p and q share a cell,
+    their masks have one size, neither mask holds the other point and
+    |A| = |B|.  Then A is p's class: a member x lies in ups[p], since
+    q ∈ masks[x] ⊆ masks[p] is ruled out, so masks[x] = masks[p]; and a
+    point with p's mask lies in masks[p] but not in masks[q], which
+    would then hold p.  B is q's class likewise.  A point x outside
+    A ∪ B holds all of A or none of it, all exactly when x ∈ ups[p], the
+    same for B and ups[q], and ups[p], ups[q] agree off A ∪ B, so the
+    swap keeps masks[x]; for x in A, masks[x] = (masks[p] & masks[q]) | A
+    goes to masks[q], and B is symmetric.  So the swap is an
+    automorphism: a twin swap when d = 0 or |A| = 1, a class swap
+    otherwise.  It moves no individualized point: one in A would lie in
+    masks[p] but not in masks[q] and have a color of its own, so the
+    stable coloring would set p and q apart, and B is symmetric.  So
+    the swap maps the node to itself and q's subtree onto p's.  Every
+    child in the orbit of a first-path node's first child holds a leaf
+    equal to the first leaf, so |Aut| is the product of those orbit
+    sizes along the first path and the automorphisms found generate Aut.
+    More than ``budget`` individualizations raise SearchBudgetExceeded;
+    the count made is returned as ``individualizations``.
+    ``canonical_form(divisor(2000))`` takes about 1.05 s (8261
+    individualizations) on a 2-vCPU host with Python 3.11.
 
     With ``target``, another space's canonical table, the same walk is
     a matching search: it stops at the first leaf whose table is at most
@@ -424,7 +443,7 @@ def canonical_order(
     gens: list[tuple[int, ...]] = []
     # One union-find orbit array over every generator found.  Each fixes
     # the path to every first-path node still on the stack, so its orbits
-    # prune there; below other nodes only twin swaps prune.
+    # prune there; below other nodes only twin and class swaps prune.
     orbits = list(range(n))
     aut = 1
     spent = 0
@@ -433,6 +452,7 @@ def canonical_order(
     best_enc: tuple[int, ...] = ()
     best_order: list[int] = []
     first_depth = 0  # stack index of the deepest first-path node, once a leaf is found
+    leaves = leaf_automorphisms = twin_swaps = class_swaps = orbit_skips = 0
     # A node: [colors, cells, its least cell, next candidate index, explored children].
     stack: list[list] = []
 
@@ -454,14 +474,17 @@ def canonical_order(
                 # Every cell is a singleton, so the colors are the positions 0..n-1.
                 order = order_map(colors, range(n))
                 enc = encode(down, order)
+                leaves += 1
                 if target is not None and enc <= target:
-                    return SearchResult(tuple(order), tuple(gens), aut, enc, spent)
+                    best_enc, best_order = enc, order
+                    break
                 if first_enc is None:
                     first_enc, first_order = enc, order
                     best_enc, best_order = enc, order
                     first_depth = len(stack) - 1
                 elif enc == first_enc:
                     record(order_map(first_order, order))
+                    leaf_automorphisms += 1
                     del stack[first_depth + 1 :]
                 elif enc < best_enc:
                     best_enc, best_order = enc, order
@@ -483,27 +506,37 @@ def canonical_order(
         if depth <= first_depth and explored:
             rp = _find(orbits, p)
             if any(_find(orbits, q) == rp for q in explored):
+                orbit_skips += 1
                 continue
-        twin = None
         for q in explored:
-            if _swap_bits(masks[p], p, q) == masks[q]:
-                if not ups:
-                    bit = [1 << z for z in range(n)].__getitem__
-                    ups = [sum(map(bit, zs)) for zs in up]
-                if not (ups[p] ^ ups[q]) & ~(1 << p | 1 << q):
-                    twin = q
-                    break
-        if twin is not None:
-            swap = list(range(n))
-            swap[p], swap[twin] = twin, p
-            record(swap)
-            continue
-        spent += 1
-        if spent > budget:
-            raise SearchBudgetExceeded(budget)
-        explored.append(p)
-        node = _child(down, up, colors, cells, p)
-    return SearchResult(tuple(best_order), tuple(gens), aut, best_enc, spent)
+            if not ups:
+                bit = [1 << z for z in range(n)].__getitem__
+                ups = [sum(map(bit, zs)) for zs in up]
+            d = masks[p] ^ masks[q]
+            if ups[p] ^ ups[q] == d:
+                swap = list(range(n))
+                a = masks[p] & d  # p's class, or nothing when q shares it
+                if a & (a - 1):
+                    xs = [x for x in iter_bits(a) if x != p]
+                    ys = [y for y in iter_bits(d ^ a) if y != q]
+                    for x, y in zip([p, *xs], [q, *ys]):
+                        swap[x], swap[y] = y, x
+                    class_swaps += 1
+                else:
+                    swap[p], swap[q] = q, p
+                    twin_swaps += 1
+                record(swap)
+                break
+        else:
+            spent += 1
+            if spent > budget:
+                raise SearchBudgetExceeded(budget)
+            explored.append(p)
+            node = _child(down, up, colors, cells, p)
+    return SearchResult(
+        tuple(best_order), tuple(gens), aut, best_enc, spent, leaves, leaf_automorphisms,
+        twin_swaps, class_swaps, orbit_skips,
+    )
 
 
 def stabilizer_chain(

@@ -14,6 +14,7 @@ from itertools import combinations
 import pytest
 
 from finitetop._refine import canonical_order
+from finitetop.constructions import disjoint_sum
 from finitetop.core import Space, from_neighborhoods
 from finitetop.errors import SearchBudgetExceeded
 from finitetop.generators import blocks, discrete, divisor
@@ -86,13 +87,17 @@ def test_least_map_on_a_petersen_incidence_poset():
     "build, spent",
     [
         (lambda: discrete(6), 5),
-        (lambda: blocks(6, 2), 26),
-        (lambda: blocks(8, 8), 301),
+        (lambda: blocks(6, 2), 6),
+        (lambda: blocks(8, 8), 56),
         (lambda: crown(8), 5),
         (lambda: divisor(60), 11),
         (lambda: divisor(250), 157),
         (lambda: divisor(500), 536),
-        (lambda: blocks(7, 2), 34),
+        (lambda: blocks(7, 2), 7),
+        (lambda: blocks(5, 2), 5),
+        (lambda: blocks(4, 3), 8),
+        (lambda: blocks(3, 4), 9),
+        (lambda: disjoint_sum(blocks(6, 3), blocks(6, 3)), 24),
     ],
     ids=[
         "discrete6",
@@ -103,6 +108,10 @@ def test_least_map_on_a_petersen_incidence_poset():
         "divisor250",
         "divisor500",
         "blocks7x2",
+        "blocks5x2",
+        "blocks4x3",
+        "blocks3x4",
+        "blocks6x3-twice",
     ],
 )
 def test_individualizations_at_the_budget_edge(build, spent):
@@ -111,3 +120,35 @@ def test_individualizations_at_the_budget_edge(build, spent):
     canonical_order(masks, budget=spent)
     with pytest.raises(SearchBudgetExceeded):
         canonical_order(masks, budget=spent - 1)
+
+
+# Counted by hand.  discrete(6): every pair of points is a twin pair, so
+# the first path individualizes 0..4; each of its five cells (sizes 6..2)
+# has one twin swap and skips the rest, 4 + 3 + 2 + 1 + 0, as lying in
+# the orbit of its first point.  blocks(6, 2): the first path takes the
+# first point of each block, and each block-mate is a twin swap; every
+# cell holding two or more blocks has one class swap, onto the next
+# block, and skips its other points by orbits: 9 + 7 + 5 + 3 + 1.
+# crown(8), a 16-cycle on two levels: individualizing minimal point 0
+# leaves mirror pairs, so one more point ends the first path; its mirror
+# point gives a second equal leaf (the reflection fixing 0).  At the
+# root, point 1 and one more point give a third (a reflection sending 1
+# to 0).  The two reflections are transitive on the eight minimal
+# points, so the root skips 2..7.
+@pytest.mark.parametrize(
+    "build, counts",
+    [
+        (lambda: discrete(6), dict(leaves=1, leaf_automorphisms=0, twin_swaps=5,
+                                   class_swaps=0, orbit_skips=10)),
+        (lambda: blocks(6, 2), dict(leaves=1, leaf_automorphisms=0, twin_swaps=6,
+                                    class_swaps=5, orbit_skips=25)),
+        (lambda: crown(8), dict(leaves=3, leaf_automorphisms=2, twin_swaps=0,
+                                class_swaps=0, orbit_skips=6)),
+    ],
+    ids=["discrete6", "blocks6x2", "crown8"],
+)
+def test_search_counters(build, counts):
+    found = canonical_order(build().masks)
+    assert {name: getattr(found, name) for name in counts} == counts
+    swaps = found.leaf_automorphisms + found.twin_swaps + found.class_swaps
+    assert len(found.generators) == swaps
