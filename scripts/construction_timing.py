@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Time ``quotient``, ``t0_quotient`` and ``report`` on fixed spaces.
+"""Time ``quotient``, ``t0_quotient``, ``report`` and ``from_open_family`` on fixed spaces.
 
-The inputs are those of the benchmark's ``big_spaces`` workload: chain
-products, ``blocks`` times a chain and their disjoint sum, quotiented
-by pairs, by a random pairing or by fours, collapsed to T0, and
-reported on.  Each row runs in natural ids and in ids shuffled by a
-permutation drawn from ``random.Random(7)``.  The script prints the best
+The first inputs are those of the benchmark's ``big_spaces`` workload:
+chain products, ``blocks`` times a chain and their disjoint sum,
+quotiented by pairs, by a random pairing or by fours, collapsed to T0,
+and reported on.  The last rows rebuild ``discrete(10)`` and two chain
+products from the list of their open sets.  Each row runs in natural
+ids and in ids shuffled by a permutation drawn from
+``random.Random(7)``.  The script prints the best
 of k wall-clock runs in milliseconds and the first 16 hex digits of the
 sha256 of the result (the masks, or the report's fields), so two
 checkouts can be compared for speed and for identical answers.  Run
@@ -22,8 +24,8 @@ import sys
 import time
 
 from finitetop.constructions import Partition, disjoint_sum, product, quotient, t0_quotient
-from finitetop.core import relabel
-from finitetop.generators import blocks, chain
+from finitetop.core import SubsetFamily, from_open_family, open_sets, relabel
+from finitetop.generators import blocks, chain, discrete
 from finitetop.invariants import report
 
 SEED = 7
@@ -88,6 +90,14 @@ def rows():
         ):
             x = space if ids == "natural" else shuffled(space)[0]
             yield f"{name} ({ids})", lambda x=x: report(x), fields_of
+        for name, space in (
+            ("from_open_family discrete(10)", discrete(10)),
+            ("from_open_family grid6", product(chain(6), chain(6))),
+            ("from_open_family grid7", product(chain(7), chain(7))),
+        ):
+            x = space if ids == "natural" else shuffled(space)[0]
+            fam = SubsetFamily(x.n, tuple(open_sets(x)))
+            yield f"{name} ({ids})", lambda fam=fam: from_open_family(fam), masks_of
 
 
 def masks_of(space):

@@ -51,6 +51,8 @@ def pairs(max_bound: int):
     yield "disjoint_sum(blocks(6, 3), blocks(6, 3))", sum_of_blocks, sum_of_blocks
     yield "crown(5)", crown(5), crown(5)
     yield "blocks(5, 2)", blocks(5, 2), blocks(5, 2)
+    crowns = disjoint_sum(disjoint_sum(crown(6), disjoint_sum(crown(3), crown(3))), blocks(3, 2))
+    yield "crown(6)+crown(3)+crown(3)+blocks(3,2)", crowns, crowns
     yield "crown(4) vs crown(2) + crown(2)", crown(4), disjoint_sum(crown(2), crown(2))
     yield "crown(5) vs crown(2) + crown(3)", crown(5), disjoint_sum(crown(2), crown(3))
     yield "blocks(5, 2) vs blocks(2, 5)", blocks(5, 2), blocks(2, 5)

@@ -34,9 +34,9 @@ import argparse
 import os
 import re
 import sys
+from collections.abc import Sequence
 from functools import cached_property, reduce
 from operator import or_
-from typing import NoReturn, Sequence
 
 from ._refine import iter_bits
 from ._value import Value
@@ -146,14 +146,15 @@ def serialize(doc: SpaceDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fail(lineno: int, raw: str, i: int, message: str) -> NoReturn:
-    """Raise a ParseError at token ``i`` of the line; columns are found only here.
+def _fail(lineno: int, raw: str, i: int, message: str) -> ParseError:
+    """The ParseError at token ``i`` of the line, for the caller to raise.
 
-    ``raw.split()`` and ``_TOKEN_RE`` split on the same characters, so
-    token ``i`` of the one is token ``i`` of the other.
+    Columns are found only here.  ``raw.split()`` and ``_TOKEN_RE`` split
+    on the same characters, so token ``i`` of the one is token ``i`` of
+    the other.
     """
     starts = [m.start() + 1 for m in _TOKEN_RE.finditer(raw)]
-    raise ParseError(lineno, starts[i], message)
+    return ParseError(lineno, starts[i], message)
 
 
 def parse(text: str) -> SpaceDocument:
@@ -178,14 +179,14 @@ def parse(text: str) -> SpaceDocument:
         head = toks[0]
         if head == "nbhd":
             if points is None:
-                _fail(lineno, raw, 0, "nbhd record before points record")
+                raise _fail(lineno, raw, 0, "nbhd record before points record")
             if len(toks) < 2 or not toks[1].endswith(":"):
-                _fail(lineno, raw, 0, "expected: nbhd LABEL: MEMBERS...")
+                raise _fail(lineno, raw, 0, "expected: nbhd LABEL: MEMBERS...")
             label = toks[1][:-1]
             if label not in declared:
-                _fail(lineno, raw, 1, f"undeclared point {label!r}")
+                raise _fail(lineno, raw, 1, f"undeclared point {label!r}")
             if label in nbhds:
-                _fail(lineno, raw, 1, f"duplicate nbhd record for {label!r}")
+                raise _fail(lineno, raw, 1, f"duplicate nbhd record for {label!r}")
             row = toks[2:]
             try:
                 members = tuple(map(declared.__getitem__, row))
@@ -195,36 +196,36 @@ def parse(text: str) -> SpaceDocument:
                 seen: set[str] = set()
                 for i, tok in enumerate(row, start=2):
                     if tok not in declared:
-                        _fail(lineno, raw, i, f"undeclared point {tok!r}")
+                        raise _fail(lineno, raw, i, f"undeclared point {tok!r}")
                     if tok in seen:
-                        _fail(lineno, raw, i, f"repeated member {tok!r}")
+                        raise _fail(lineno, raw, i, f"repeated member {tok!r}")
                     seen.add(tok)
             nbhds[label] = members
         elif head == "space":
             if name is not None:
-                _fail(lineno, raw, 0, "duplicate space record")
+                raise _fail(lineno, raw, 0, "duplicate space record")
             if len(toks) != 2:
-                _fail(lineno, raw, 0, "expected: space NAME")
+                raise _fail(lineno, raw, 0, "expected: space NAME")
             name = toks[1]
             if not _LABEL_RE.match(name):
-                _fail(lineno, raw, 1, f"illegal name {name!r}")
+                raise _fail(lineno, raw, 1, f"illegal name {name!r}")
         elif head == "points":
             if name is None:
-                _fail(lineno, raw, 0, "points record before space record")
+                raise _fail(lineno, raw, 0, "points record before space record")
             if points is not None:
-                _fail(lineno, raw, 0, "duplicate points record")
+                raise _fail(lineno, raw, 0, "duplicate points record")
             points = tuple(toks[1:])
             declared = dict(zip(points, points))
             if len(declared) != len(points) or not all(map(_LABEL_RE.match, points)):
                 seen = set()
                 for i, tok in enumerate(points, start=1):
                     if not _LABEL_RE.match(tok):
-                        _fail(lineno, raw, i, f"illegal label {tok!r}")
+                        raise _fail(lineno, raw, i, f"illegal label {tok!r}")
                     if tok in seen:
-                        _fail(lineno, raw, i, f"duplicate point label {tok!r}")
+                        raise _fail(lineno, raw, i, f"duplicate point label {tok!r}")
                     seen.add(tok)
         else:
-            _fail(lineno, raw, 0, f"unknown record {head!r}")
+            raise _fail(lineno, raw, 0, f"unknown record {head!r}")
     if name is None:
         raise ParseError(last_line + 1, 1, "missing space record")
     if points is None:
@@ -246,22 +247,22 @@ def parse_glue(text: str, src: SpaceDocument, dst: SpaceDocument) -> GlueData:
             continue
         head = toks[0]
         if head not in ("pair", "send"):
-            _fail(lineno, raw, 0, f"unknown record {head!r}")
+            raise _fail(lineno, raw, 0, f"unknown record {head!r}")
         if len(toks) != 3:
-            _fail(lineno, raw, 0, f"expected: {head} SOURCE TARGET")
+            raise _fail(lineno, raw, 0, f"expected: {head} SOURCE TARGET")
         a, b = toks[1], toks[2]
         if a not in src_index:
-            _fail(lineno, raw, 1, f"undeclared source point {a!r}")
+            raise _fail(lineno, raw, 1, f"undeclared source point {a!r}")
         if b not in dst_index:
-            _fail(lineno, raw, 2, f"undeclared target point {b!r}")
+            raise _fail(lineno, raw, 2, f"undeclared target point {b!r}")
         if head == "pair":
             pairs.append((src_index[a], dst_index[b]))
             local.append({})
         else:
             if not pairs:
-                _fail(lineno, raw, 0, "send record before any pair record")
+                raise _fail(lineno, raw, 0, "send record before any pair record")
             if src_index[a] in local[-1]:
-                _fail(lineno, raw, 1, f"source point {a!r} is sent twice for this pair")
+                raise _fail(lineno, raw, 1, f"source point {a!r} is sent twice for this pair")
             local[-1][src_index[a]] = dst_index[b]
     return GlueData.build(pairs, local)
 

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import reduce
-from typing import Iterable, Sequence
 
 from ._refine import closure_violation, iter_bits, owners, pack
 from ._value import Value

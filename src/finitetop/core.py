@@ -14,9 +14,9 @@ including :func:`from_preorder`.
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from functools import cached_property, reduce
+from operator import and_
 
 from . import _refine
 from ._refine import iter_bits
@@ -243,33 +243,43 @@ def from_basis(family: SubsetFamily) -> Space:
     """Build the space whose topology is generated by the given basis.
 
     For each point x the intersection m(x) of all family sets containing x
-    must itself be a family member; then nbhd[x] = m(x).  Fails with
-    NotCovered when some point lies in no set, and with NoMinimalSet when
-    the family has no minimal member around a point.
+    must itself be a family member; then nbhd[x] = m(x).  One pass over
+    the members' bits forms every m(x).  Fails, at the least such point,
+    with NotCovered when the point lies in no set, and with NoMinimalSet
+    when its m(x) is not a member.
     """
     n = family.carrier_size
     bits = family.distinct_bits()
-    nb = []
-    for x in range(n):
-        containing = [b for b in bits if b >> x & 1]
-        if not containing:
+    inter = [-1] * n  # all bits set: x lies in no member seen so far
+    for b in bits:
+        for x in iter_bits(b):
+            inter[x] &= b
+    present = set(bits)
+    for x, m in enumerate(inter):
+        if m < 0:
             raise NotCovered(x)
-        inter = containing[0]
-        for b in containing[1:]:
-            inter &= b
-        if inter not in containing:
+        if m not in present:
             raise NoMinimalSet(x)
-        nb.append(inter)
-    return Space._of(n, tuple(nb))
+    return Space._of(n, tuple(inter))
 
 
 def from_open_family(family: SubsetFamily) -> Space:
     """Build a space from the complete list of its open sets.
 
-    Verifies the family contains the empty set and the full carrier and is
-    closed under pairwise union and intersection, which suffices on a
-    finite carrier.  nbhd[x] is the intersection of all members
-    containing x (a member itself, by closure).
+    The family must hold the empty set and the full carrier; then
+    :func:`from_basis` forms each point's least member S(x), and every
+    member a and distinct S(x) must have a | S(x) in the family.  A
+    failure raises NotATopology naming the missing set.
+
+    These checks hold exactly when the family is closed under union and
+    intersection.  A topology passes them: S(x) is a finite
+    intersection of members, and a | S(x) a union of two.  Conversely,
+    each member a is the union of the S(x) for x in a, as
+    x ∈ S(x) ⊆ a; and starting from the empty set, the union checks
+    reach every union of S(x)'s.  So the family is exactly the set of
+    such unions: the down-sets of the preorder y ≤ x iff y ∈ S(x),
+    which is closed under both operations.  The checks make D lookups
+    per distinct S(x) for D members, where pairwise closure makes D².
     """
     n = family.carrier_size
     bits = family.distinct_bits()
@@ -281,25 +291,20 @@ def from_open_family(family: SubsetFamily) -> Space:
         raise NotATopology(
             f"the full carrier {{{', '.join(map(str, range(n)))}}} is missing", full
         )
-    for a, b in combinations(bits, 2):
-        u = a | b
-        if u not in present:
-            raise NotATopology(
-                f"union of members 0x{a:x} and 0x{b:x} is missing", u
-            )
-        i = a & b
-        if i not in present:
-            raise NotATopology(
-                f"intersection of members 0x{a:x} and 0x{b:x} is missing", i
-            )
-    nb = []
-    for x in range(n):
-        inter = full
-        for b in bits:
-            if b >> x & 1:
-                inter &= b
-        nb.append(inter)
-    return Space._of(n, tuple(nb))
+    try:
+        space = from_basis(family)
+    except NoMinimalSet as exc:
+        x = exc.point
+        missing = reduce(and_, [b for b in bits if b >> x & 1])
+        raise NotATopology(
+            f"intersection of the members containing point {x}, 0x{missing:x}, is missing",
+            missing,
+        ) from None
+    for s in space.distinct_masks:
+        for a in bits:
+            if a | s not in present:
+                raise NotATopology(f"union of members 0x{a:x} and 0x{s:x} is missing", a | s)
+    return space
 
 
 def from_preorder(

@@ -6,7 +6,7 @@ programmatically instead of parsing messages.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 
 class FinitetopError(Exception):

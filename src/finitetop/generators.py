@@ -10,8 +10,7 @@ matter: invariants of a truncation are not those of the infinite space.
 
 from __future__ import annotations
 
-import random
-from typing import Callable
+from collections.abc import Callable
 
 from ._value import Value
 from .core import Space
@@ -80,6 +79,8 @@ def random_space(n: int, seed: int, density: float = 0.5) -> Space:
         raise InvalidArgument("negative size")
     if not 0.0 <= density <= 1.0:
         raise InvalidArgument("density must lie in [0, 1]")
+    import random  # loaded only here, off the import path of every command
+
     rng = random.Random(seed)
     up_edges = [
         [j for j in range(i + 1, n) if rng.random() < density] for i in range(n)

@@ -8,7 +8,7 @@ both conditions the image carries neighborhoods f(S(x)).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import _refine
 from ._refine import DEFAULT_SEARCH_BUDGET, iter_bits
@@ -145,7 +145,8 @@ def find_homeomorphism(
     if rb.encoding != ra.encoding:
         return None
     phi = _refine.order_map(ra.order, rb.order)
-    gens = [_refine.order_map(phi, [phi[y] for y in g]) for g in ra.generators]
+    # The search records a swap again at each node where it applies; one copy suffices.
+    gens = [_refine.order_map(phi, [phi[y] for y in g]) for g in dict.fromkeys(ra.generators)]
     f = _refine.least_map(gens, phi, ra.aut)
     if not _is_structure_isomorphism(a, b, f):
         raise InternalError("search returned a map that is not a homeomorphism")

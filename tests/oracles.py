@@ -403,3 +403,44 @@ def refine_colors_by_rounds(down, up, initial=None) -> list[int]:
 def _rank(sigs: list) -> list[int]:
     order = {s: i for i, s in enumerate(sorted(set(sigs)))}
     return [order[s] for s in sigs]
+
+
+def open_family_missing_pairwise(n: int, family: list[int]) -> int | None:
+    """The first set a topology on n points would need but the family lacks, or None.
+
+    The closure check ``from_open_family`` once made: the empty set and
+    the full carrier, then the union and the intersection of every pair of
+    distinct members, in ``combinations`` order.
+    """
+    bits = list(dict.fromkeys(family))
+    present = set(bits)
+    for needed in (0, (1 << n) - 1):
+        if needed not in present:
+            return needed
+    for a, b in combinations(bits, 2):
+        for needed in (a | b, a & b):
+            if needed not in present:
+                return needed
+    return None
+
+
+def basis_by_points(n: int, family: list[int]) -> tuple[int, ...] | tuple[str, int]:
+    """Each point's least containing member, or the first point that has none.
+
+    Returns the masks, or ("NotCovered", x) for the least point x in no
+    member, or ("NoMinimalSet", x) for the least point x whose members'
+    intersection is not a member.  Points are taken one at a time, as
+    ``from_basis`` once did.
+    """
+    masks = []
+    for x in range(n):
+        containing = [b for b in family if b >> x & 1]
+        if not containing:
+            return ("NotCovered", x)
+        inter = containing[0]
+        for b in containing:
+            inter &= b
+        if inter not in containing:
+            return ("NoMinimalSet", x)
+        masks.append(inter)
+    return tuple(masks)

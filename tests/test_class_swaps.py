@@ -16,7 +16,8 @@ from math import factorial
 
 import pytest
 
-from finitetop._refine import canonical_order
+from finitetop import _refine
+from finitetop._refine import canonical_order, least_map, order_map
 from finitetop.constructions import disjoint_sum
 from finitetop.core import Space
 from finitetop.generators import blocks, random_space
@@ -120,6 +121,32 @@ def test_class_swaps_below_the_first_path(b, m, seed):
     assert all(is_automorphism(space.masks, g) for g in found.generators)
     assert found.encoding == canonical_order(other.masks).encoding
     assert find_homeomorphism(space, other) is not None
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_least_map_gets_each_generator_once(seed, monkeypatch):
+    # Off the first path the search records a swap again at every node
+    # where it applies, so its generator list repeats itself many times.
+    # The least map is unique, so one copy of each gives the map that the
+    # whole list gives.
+    base = disjoint_sum(disjoint_sum(crown(6), disjoint_sum(crown(3), crown(3))), blocks(3, 2))
+    a, b = shuffled(base, seed), shuffled(base, 40 + seed)
+    ra = canonical_order(a.masks)
+    rb = canonical_order(b.masks)
+    assert len(ra.generators) > 10 * len(set(ra.generators))
+    phi = order_map(ra.order, rb.order)
+    every_copy = [order_map(phi, [phi[y] for y in g]) for g in ra.generators]
+    received = []
+
+    def recording(gens, f, order):
+        received.append([tuple(g) for g in gens])
+        return least_map(gens, f, order)
+
+    monkeypatch.setattr(_refine, "least_map", recording)
+    h = find_homeomorphism(a, b)
+    assert len(received) == 1
+    assert sorted(received[0]) == sorted(set(map(tuple, every_copy)))
+    assert list(h.f) == least_map(every_copy, phi, ra.aut)
 
 
 def test_equal_classes_with_different_points_above_are_not_swapped():

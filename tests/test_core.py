@@ -176,6 +176,14 @@ class TestFromOpenFamily:
             )
         assert exc.value.missing_bits == 0b010
 
+    def test_missing_union_with_a_least_set(self):
+        # Every intersection is present, but {0} | S(2) = {0, 2} is not.
+        with pytest.raises(NotATopology) as exc:
+            from_open_family(
+                SubsetFamily.of(3, [set(), {0}, {1}, {0, 1}, {2}, {0, 1, 2}])
+            )
+        assert exc.value.missing_bits == 0b101
+
 
 class TestFromPreorder:
     def test_sierpinski(self):

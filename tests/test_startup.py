@@ -7,6 +7,12 @@ bring (``inspect``, ``ast``, ``dis``, ``tokenize``, ``linecache``), and it
 must still load every module ``finitetop/__init__.py`` imports, so that
 the package stays eagerly imported.  A source scan keeps ``dataclasses``
 out of the package for good.
+
+An interpreter started with ``-S -I`` runs no site hook, which on some
+installations loads ``typing`` and ``random`` before any user code.  There
+``finitetop.cli`` must load neither: annotations come from
+``collections.abc``, and ``random`` is imported inside ``random_space``.
+A second source scan keeps ``typing`` out of the package.
 """
 
 import ast
@@ -33,6 +39,16 @@ print(json.dumps(added))
 NOT_ON_THE_COMMAND_PATH = (
     "dataclasses", "inspect", "traceback", "ast", "dis", "tokenize", "linecache",
 )
+
+
+BARE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import finitetop.cli
+loaded = sorted(sys.modules)
+import json
+print(json.dumps(loaded))
+"""
 
 
 def modules_added_by_importing_the_cli() -> set:
@@ -65,21 +81,39 @@ def test_importing_the_cli_skips_heavy_stdlib_modules_and_loads_the_package():
     assert sorted(eager - added) == []
 
 
-def _imports_dataclasses(node: ast.AST) -> bool:
+def test_a_bare_interpreter_imports_the_cli_without_typing_or_random():
+    done = subprocess.run(
+        [sys.executable, "-S", "-I", "-c", BARE, str(SRC)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert "finitetop.cli" in loaded
+    assert sorted({"typing", "random"} & loaded) == []
+
+
+def _imports(node: ast.AST, module: str) -> bool:
     if isinstance(node, ast.Import):
-        return any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+        return any(a.name.split(".")[0] == module for a in node.names)
     if isinstance(node, ast.ImportFrom):
-        return (node.module or "").split(".")[0] == "dataclasses"
+        return node.level == 0 and (node.module or "").split(".")[0] == module
     return False
 
 
-def test_no_source_file_imports_dataclasses():
+def _offenders(module: str) -> list[str]:
     files = sorted(SRC.rglob("*.py"))
     assert any(p.name == "core.py" for p in files)
-    offenders = [
+    return [
         f"{path.relative_to(SRC)}:{node.lineno}"
         for path in files
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if _imports_dataclasses(node)
+        if _imports(node, module)
     ]
-    assert offenders == []
+
+
+def test_no_source_file_imports_dataclasses():
+    assert _offenders("dataclasses") == []
+
+
+def test_no_source_file_imports_typing():
+    assert _offenders("typing") == []
