@@ -17,8 +17,8 @@ Divisibility spaces run up to the given bound.  Run with::
 
     PYTHONPATH=src python scripts/homeo_timing.py [max_bound] [k]
 
-The defaults are 250 and 3; ``max_bound`` 500 adds ``divisor(500)``,
-whose relabeled → original direction takes several seconds.
+The defaults are 250 and 3; ``max_bound`` 500 adds ``divisor(500)`` and
+1000 adds ``divisor(1000)``.
 """
 
 import hashlib
@@ -42,7 +42,7 @@ def crown(k: int):
 
 def pairs(max_bound: int):
     """(name, a, b) with b the second space before relabeling."""
-    for bound in (60, 250, 500):
+    for bound in (60, 250, 500, 1000):
         if bound <= max_bound:
             yield f"divisor({bound})", divisor(bound), divisor(bound)
     yield "blocks(8, 8)", blocks(8, 8), blocks(8, 8)

@@ -3,8 +3,9 @@
 
 For each space the script runs ``_refine.canonical_order`` k times and
 prints the individualizations, the leaves, the leaf automorphisms, the
-twin swaps, the class swaps and the first-path orbit skips of the search
-(``-`` for a counter the checkout's ``SearchResult`` lacks), then |Aut|
+twin swaps, the class swaps, the first-path orbit skips and the
+first-path depth, ``len(base)``, of the search (``-`` for a counter the
+checkout's ``SearchResult`` lacks), then |Aut|
 (exactly up to 10^9, in scientific notation above) and the best of k
 wall-clock times in milliseconds.  The counts repeat exactly, so two
 checkouts can be compared row by row.  The spaces are block spaces,
@@ -67,7 +68,7 @@ def spaces(max_bound: int):
 
 
 def main(max_bound: int, k: int) -> None:
-    heads = ("indiv", "leaves", "leafaut", "twin", "class", "orbit")
+    heads = ("indiv", "leaves", "leafaut", "twin", "class", "orbit", "depth")
     print(f"{'space':<42} " + " ".join(f"{h:>7}" for h in heads) + f" {'|Aut|':>12} {'best ms':>9}")
     for name, space in spaces(max_bound):
         best = float("inf")
@@ -76,8 +77,9 @@ def main(max_bound: int, k: int) -> None:
             found = canonical_order(space.masks)
             best = min(best, time.perf_counter() - start)
         counts = " ".join(f"{getattr(found, c, '-'):>7}" for c in COUNTERS)
+        depth = len(found.base) if hasattr(found, "base") else "-"
         aut = f"{found.aut}" if found.aut <= 10**9 else f"{found.aut:.6e}"
-        print(f"{name:<42} {counts} {aut:>12} {best * 1e3:>9.3f}", flush=True)
+        print(f"{name:<42} {counts} {depth:>7} {aut:>12} {best * 1e3:>9.3f}", flush=True)
 
 
 if __name__ == "__main__":

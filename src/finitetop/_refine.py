@@ -8,6 +8,11 @@ Colors are integer ranks: equal colors mean equal iterated
 fingerprints, and a refinement keeps the order of the colors it splits.
 ``refine_colors`` returns dense ranks; inside the refinement and the
 search a color is the position of its cell's first point.
+
+|Aut| is the product of the first-path orbit sizes (McKay & Piperno,
+2014), so the search's generators are a strong generating set along its
+first path, ``SearchResult.base``, and ``least_map`` completes any other
+``Chain`` by sifting uniform random elements of the chain along it.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, compress, count, groupby
+from math import prod
 from operator import itemgetter
 
 from ._value import Value
@@ -335,7 +341,9 @@ class SearchResult(Value):
     ``order[i]`` is the point that becomes i in the canonical form,
     ``generators`` are automorphisms that generate Aut, ``aut`` is |Aut|,
     ``encoding`` is the mask table relabeled by ``order`` (the canonical
-    form's masks) and ``individualizations`` counts the individualizations
+    form's masks), ``base`` lists the points the first path
+    individualizes, from the root down (its length is the first-path
+    depth), and ``individualizations`` counts the individualizations
     the search made, the count ``budget`` bounds.  The other counts split
     the rest of the walk: ``leaves`` reached, ``leaf_automorphisms``
     (leaves whose table equals the first leaf's), and the candidates
@@ -345,11 +353,11 @@ class SearchResult(Value):
 
     def __init__(
         self, order: tuple[int, ...], generators: tuple[tuple[int, ...], ...], aut: int,
-        encoding: tuple[int, ...], individualizations: int, leaves: int,
+        encoding: tuple[int, ...], base: tuple[int, ...], individualizations: int, leaves: int,
         leaf_automorphisms: int, twin_swaps: int, class_swaps: int, orbit_skips: int,
     ) -> None:
         self.__dict__.update(
-            order=order, generators=generators, aut=aut, encoding=encoding,
+            order=order, generators=generators, aut=aut, encoding=encoding, base=base,
             individualizations=individualizations, leaves=leaves,
             leaf_automorphisms=leaf_automorphisms, twin_swaps=twin_swaps,
             class_swaps=class_swaps, orbit_skips=orbit_skips,
@@ -412,6 +420,8 @@ def canonical_order(
     child in the orbit of a first-path node's first child holds a leaf
     equal to the first leaf, so |Aut| is the product of those orbit
     sizes along the first path and the automorphisms found generate Aut.
+    Each orbit is counted under ones that fix the path above it, so they
+    are a strong generating set along the path's points, ``base``.
     More than ``budget`` individualizations raise SearchBudgetExceeded;
     the count made is returned as ``individualizations``:
     ``canonical_form(divisor(2000))`` makes 8261.
@@ -426,8 +436,8 @@ def canonical_order(
     equals ``target`` exactly when the two tables are isomorphic, and
     the orders of the two leaves then send one onto the other.  The walk
     is a prefix of the full search, so it makes no more
-    individualizations; its ``generators`` and ``aut`` cover only the
-    part walked.
+    individualizations; its ``generators``, ``aut`` and ``base`` cover
+    only the part walked.
     """
     n = len(masks)
     down: list[list[int]] = []
@@ -450,6 +460,7 @@ def canonical_order(
     first_order: list[int] = []
     best_enc: tuple[int, ...] = ()
     best_order: list[int] = []
+    base: tuple[int, ...] = ()  # the points the first path individualizes
     first_depth = 0  # stack index of the deepest first-path node, once a leaf is found
     leaves = leaf_automorphisms = twin_swaps = class_swaps = orbit_skips = 0
     # A node: [colors, cells, its least cell, next candidate index, explored children].
@@ -481,6 +492,7 @@ def canonical_order(
                     first_enc, first_order = enc, order
                     best_enc, best_order = enc, order
                     first_depth = len(stack) - 1
+                    base = tuple(top[2][0] for top in stack)
                 elif enc == first_enc:
                     record(order_map(first_order, order))
                     leaf_automorphisms += 1
@@ -533,139 +545,127 @@ def canonical_order(
             explored.append(p)
             node = _child(down, up, colors, cells, p)
     return SearchResult(
-        tuple(best_order), tuple(gens), aut, best_enc, spent, leaves, leaf_automorphisms,
-        twin_swaps, class_swaps, orbit_skips,
+        tuple(best_order), tuple(gens), aut, best_enc, base, spent, leaves,
+        leaf_automorphisms, twin_swaps, class_swaps, orbit_skips,
     )
 
 
-def stabilizer_chain(
-    gens: Sequence[Sequence[int]], base: Sequence[int], order: int
-) -> tuple[list[list[int]], list[dict[int, tuple[int, int]]]]:
-    """A stabilizer chain of the group generated by ``gens``, along ``base``.
+class Chain:
+    """A stabilizer chain along ``base`` of the group that gens generate on range(n).
 
-    ``base`` lists every point once and ``order`` is the group's order.
-    Returns the strong generators and one Schreier tree per level:
     ``trees[i]`` maps each point y of the basic orbit of base[i] under
-    the stabilizer of base[0..i-1] to (x, k) with strong[k][x] = y, and
-    base[i] to (base[i], -1).  The coset representative u_y, which sends
-    base[i] to y, is strong[k] composed after u_x.
-
-    Deterministic Schreier–Sims (Sims 1970; Seress, *Permutation Group
-    Algorithms*, 2003), from the deepest level up: each Schreier
-    generator of a level is sifted through the levels below, and one that
-    does not sift to the identity joins the levels whose base points it
-    fixes, whose trees then grow; work resumes at the deepest of them.
-    A level's Schreier generators are sifted once each, since a tree
-    grows only by new points.  The product of the basic-orbit sizes
-    never exceeds ``order`` and reaches it only when every basic orbit is
-    complete, so the chain is done as soon as it does.  Running out of
-    Schreier generators first means ``gens`` do not generate a group of
-    that order, and raises InternalError.
+    the strong generators fixing base[0..i-1] to (x, k) with
+    strong[k][x] = y, and base[i] to (base[i], -1); the representative
+    u_y, which sends base[i] to y, is strong[k] composed after u_x.
+    ``size``, the product of the basic-orbit sizes, reaches the group's
+    order exactly when the strong generators are a strong generating set.
     """
-    n = len(base)
-    identity = list(range(n))
-    strong: list[list[int]] = []
-    inverse: list[list[int]] = []
-    level_gens: list[list[int]] = [[] for _ in range(n)]
-    trees = [{b: (b, -1)} for b in base]
-    sifted: list[set[tuple[int, int]]] = [set() for _ in range(n)]
-    size = 1  # the product of the basic-orbit sizes
-    last = -1  # the deepest level whose basic orbit is more than its base point
 
-    def add(g: list[int], top: int) -> int:
-        """Join g != id to the levels top..j, j the first level whose base point it moves."""
-        nonlocal size, last
-        j = next(i for i, b in enumerate(base) if g[b] != b)
-        last = max(last, j)
+    def __init__(self, base: Sequence[int], n: int, gens: Iterable[list[int]]) -> None:
+        self.base = base
+        self.identity = list(range(n))
+        self.strong: list[list[int]] = []
+        self.level_gens: list[list[int]] = [[] for _ in base]
+        self.trees = [{b: (b, -1)} for b in base]
+        self.size = 1
+        self.last = -1  # the deepest level whose basic orbit is more than its base point
+        for g in gens:
+            self.add(g)
+
+    def add(self, g: list[int]) -> None:
+        """Join g to the levels 0..j, j the first level whose base point g moves, if any."""
+        strong, level_gens, trees = self.strong, self.level_gens, self.trees
+        j = next((i for i, b in enumerate(self.base) if g[b] != b), -1)
+        self.last = max(self.last, j)
         k = len(strong)
         strong.append(g)
-        inverse.append(order_map(g, identity))
-        for i in range(top, j + 1):
+        for i in range(j + 1):
             level_gens[i].append(k)
             tree = trees[i]
-            size //= len(tree)
             # The tree is closed under the level's older generators, so
             # only g leads out of it; each point g adds then meets them all.
-            frontier = [z for z in map(g.__getitem__, tree) if z not in tree]
-            for z in frontier:
-                tree[z] = (inverse[k][z], k)
+            frontier = []
+            for y in list(tree):
+                if g[y] not in tree:
+                    tree[g[y]] = (y, k)
+                    frontier.append(g[y])
             for y in frontier:
                 for kk in level_gens[i]:
                     z = strong[kk][y]
                     if z not in tree:
                         tree[z] = (y, kk)
                         frontier.append(z)
-            size *= len(tree)
-        return j
+        self.size = prod(map(len, trees))
 
-    def sift(g: list[int], i: int) -> list[int] | None:
-        """g stripped through the levels from i on; None if nothing is left.
+    def sift(self, h: list[int]) -> list[int] | None:
+        """h ∘ u_0 ∘ u_1 ∘ ..., each u_i making it fix base[i], or None if that is the identity.
 
-        Past ``last`` every basic orbit is its base point alone, so g
-        passes those levels unchanged: the residue is g unless g is the
-        identity.
+        None means the chain holds h.  A residue fixes the base points of
+        the levels passed; past ``last`` every basic orbit is a point.
         """
-        for j in range(i, last + 1):
-            tree, b = trees[j], base[j]
-            z = g[b]
-            if z != b and z not in tree:
-                return g
-            while z != b:
-                z, k = tree[z]
-                g = list(map(inverse[k].__getitem__, g))
-        return None if g == identity else g
+        for i in range(self.last + 1):
+            z = h.index(self.base[i])  # the image of base[i] under h⁻¹
+            if z not in self.trees[i]:
+                return h
+            h = self.times_rep(h, i, z)
+        return None if h == self.identity else h
 
-    for g in gens:
-        if list(g) != identity:
-            add(list(g), 0)
-    i = last  # deeper levels have no generators
-    while i >= 0 and size != order:
-        tree, done, b = trees[i], sifted[i], base[i]
-        for y, k in ((y, k) for y in tree for k in level_gens[i]):
-            if (y, k) in done:
-                continue
-            done.add((y, k))
-            # The Schreier generator u_z^-1 ∘ strong[k] ∘ u_y, z = strong[k][y];
-            # sifting strips the u_z^-1.
-            g = strong[k]
-            x = y
-            while x != b:
-                x, kk = tree[x]
-                g = list(map(g.__getitem__, strong[kk]))
-            residue = sift(g, i)
-            if residue is not None:
-                i = add(residue, i + 1)
-                break
-        else:
-            i -= 1
-    if size != order:
-        raise InternalError("automorphism generators do not generate a group of the stated order")
-    return strong, trees
+    def times_rep(self, h: list[int], i: int, y: int) -> list[int]:
+        """h ∘ u_y, u_y the representative of level i sending base[i] to y."""
+        tree = self.trees[i]
+        y, k = tree[y]
+        while k >= 0:  # one tree edge at a time
+            h = list(map(h.__getitem__, self.strong[k]))
+            y, k = tree[y]
+        return h
 
 
-def least_map(gens: Sequence[Sequence[int]], f: Sequence[int], order: int) -> list[int]:
+def least_map(
+    gens: Sequence[Sequence[int]], f: Sequence[int], order: int, base: Sequence[int]
+) -> list[int]:
     """The least h ∘ f, by its array, over the group of order ``order`` that gens generate.
 
-    f is a permutation of the points.  Only the points some generator
-    moves enter the chain: they are numbered in ascending order, so
-    numbers compare as the points do, and the chain
-    (``stabilizer_chain``) is built on the generators and the base
-    f[0], f[1], ... restricted to them.  Every h in the group is
-    u_0 ∘ u_1 ∘ ... with u_i a coset representative of level i, and the
-    later factors fix the level's base point, so its image under h
-    depends on u_0..u_i alone: level by level, the representative u_y
-    whose y the product so far sends lowest gives the least image, and
-    the product after the last level gives the least map.  Where no
-    generator moves f[x], the map keeps f[x].
+    f is a permutation of the points.  gens must be a strong generating
+    set along ``base``, as the search's generators are along its first
+    path.  Only the points some generator moves enter the chains,
+    numbered in ascending order so that numbers compare as the points
+    do.  The chain along f[0], f[1], ... built from gens mostly reaches
+    ``order``.  If not, the chain along ``base`` must (InternalError
+    otherwise); uniform random elements of it, one representative per
+    level from a local ``random.Random(0)``, are sifted into the chain
+    along f, each residue added, until that reaches ``order`` (Seress,
+    *Permutation Group Algorithms*, 2003, §4.3), by the same draws every
+    call.  A size past ``order`` raises InternalError.
+
+    Every h in the group is u_0 ∘ u_1 ∘ ... with u_i a coset
+    representative of level i, and the later factors fix the level's
+    base point, so its image under h depends on u_0..u_i alone: level by
+    level, the representative u_y whose y the product so far sends lowest
+    gives the least image, and the product after the last level gives
+    the least map.  Where no generator moves f[x], the map keeps f[x].
     """
     moved = [x for x, images in enumerate(zip(*gens)) if images.count(x) < len(gens)]
     number = dict(zip(moved, count()))
     frame = [[number[g[x]] for x in moved] for g in gens]
-    strong, trees = stabilizer_chain(frame, [number[y] for y in f if y in number], order)
-    h = list(range(len(moved)))
-    for tree in trees:
-        y, k = tree[min(tree, key=h.__getitem__)]
-        while k >= 0:  # h ← h ∘ u_y, one tree edge at a time
-            h = list(map(h.__getitem__, strong[k]))
-            y, k = tree[y]
+    f_chain = Chain([number[y] for y in f if y in number], len(moved), frame)
+    if f_chain.size != order:
+        base_chain = Chain([number[y] for y in base if y in number], len(moved), frame)
+        if base_chain.size != order:
+            raise InternalError("the generators are no strong generating set of that order")
+        import random  # here, so that importing the package leaves random unloaded
+
+        rng = random.Random(0)
+        levels = [(i, list(tree)) for i, tree in enumerate(base_chain.trees) if len(tree) > 1]
+        while f_chain.size < order:
+            g = f_chain.identity
+            for i, points in levels:
+                g = base_chain.times_rep(g, i, rng.choice(points))
+            residue = f_chain.sift(g)
+            if residue is not None:
+                f_chain.add(residue)
+        if f_chain.size != order:
+            raise InternalError("the chain outgrew the stated order")
+    h = f_chain.identity
+    for i, tree in enumerate(f_chain.trees):
+        h = f_chain.times_rep(h, i, min(tree, key=h.__getitem__))
     return [moved[h[number[y]]] if y in number else y for y in f]

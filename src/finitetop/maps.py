@@ -135,6 +135,8 @@ def find_homeomorphism(
     individualization budget (SearchBudgetExceeded).  The homeomorphisms
     are h ∘ φ for h in Aut(b) = φ Aut(a) φ⁻¹, and ``_refine.least_map``
     picks the least of them from a's generators carried over to b.
+    They form a strong generating set along the image of a's first path,
+    and seeded draws from that chain complete one along φ if they do not.
     Spaces whose neighborhood sizes differ as multisets answer None
     before any search.
     """
@@ -147,7 +149,7 @@ def find_homeomorphism(
     phi = _refine.order_map(ra.order, rb.order)
     # The search records a swap again at each node where it applies; one copy suffices.
     gens = [_refine.order_map(phi, [phi[y] for y in g]) for g in dict.fromkeys(ra.generators)]
-    f = _refine.least_map(gens, phi, ra.aut)
+    f = _refine.least_map(gens, phi, ra.aut, [phi[y] for y in ra.base])
     if not _is_structure_isomorphism(a, b, f):
         raise InternalError("search returned a map that is not a homeomorphism")
     return SpaceMap(a, b, tuple(f))

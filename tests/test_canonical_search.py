@@ -134,16 +134,18 @@ def test_individualizations_at_the_budget_edge(build, spent):
 # point gives a second equal leaf (the reflection fixing 0).  At the
 # root, point 1 and one more point give a third (a reflection sending 1
 # to 0).  The two reflections are transitive on the eight minimal
-# points, so the root skips 2..7.
+# points, so the root skips 2..7.  ``base`` is the first path: 0..4,
+# the even points (the first of each block), and 0, 1.
 @pytest.mark.parametrize(
     "build, counts",
     [
         (lambda: discrete(6), dict(leaves=1, leaf_automorphisms=0, twin_swaps=5,
-                                   class_swaps=0, orbit_skips=10)),
+                                   class_swaps=0, orbit_skips=10, base=(0, 1, 2, 3, 4))),
         (lambda: blocks(6, 2), dict(leaves=1, leaf_automorphisms=0, twin_swaps=6,
-                                    class_swaps=5, orbit_skips=25)),
+                                    class_swaps=5, orbit_skips=25,
+                                    base=(0, 2, 4, 6, 8, 10))),
         (lambda: crown(8), dict(leaves=3, leaf_automorphisms=2, twin_swaps=0,
-                                class_swaps=0, orbit_skips=6)),
+                                class_swaps=0, orbit_skips=6, base=(0, 1))),
     ],
     ids=["discrete6", "blocks6x2", "crown8"],
 )

@@ -138,15 +138,15 @@ def test_the_least_map_gets_each_generator_once(seed, monkeypatch):
     every_copy = [order_map(phi, [phi[y] for y in g]) for g in ra.generators]
     received = []
 
-    def recording(gens, f, order):
+    def recording(gens, f, order, base):
         received.append([tuple(g) for g in gens])
-        return least_map(gens, f, order)
+        return least_map(gens, f, order, base)
 
     monkeypatch.setattr(_refine, "least_map", recording)
     h = find_homeomorphism(a, b)
     assert len(received) == 1
     assert sorted(received[0]) == sorted(set(map(tuple, every_copy)))
-    assert list(h.f) == least_map(every_copy, phi, ra.aut)
+    assert list(h.f) == least_map(every_copy, phi, ra.aut, [phi[y] for y in ra.base])
 
 
 def test_equal_classes_with_different_points_above_are_not_swapped():

@@ -7,10 +7,13 @@ relabeling of itself in both directions: a divisibility space of 250
 points, whose Aut moves 102 of them, and block, discrete and summed
 block spaces, whose Aut moves every point.  A change to the stabilizer
 chain or to how the least map is read off it that picks another map
-shows here.
+shows here.  Two more relabelings of the divisibility space are pinned
+one direction at a time, so that a failure names the direction.
 """
 
 import hashlib
+
+import pytest
 
 from finitetop.constructions import disjoint_sum
 from finitetop.generators import blocks, discrete, divisor
@@ -40,3 +43,21 @@ def test_least_homeomorphisms_are_byte_identical():
     for name, a, b in pairs():
         h.update(repr((name, find_homeomorphism(a, b).f)).encode())
     assert h.hexdigest() == MAPS_SHA256
+
+
+#: sha256 of repr(f) per (seed, direction), recorded before random draws completed the chain.
+DIVISOR_SHA256 = {
+    (1, "original → relabeled"): "bb76efd8e9e47e820b6912a00a3aaf5c02d9ccf7e93e244a2e53c02154d51845",
+    (1, "relabeled → original"): "0a73cf32860acdee1fb6fd90970ddd012be25289e6f027a130c3b3cc2987c509",
+    (2, "original → relabeled"): "80806739944ad29969bd511ae25092fd8794d30b05fc3b475d8dcc428261899e",
+    (2, "relabeled → original"): "d7dbdf0075c565d8871a74a11debbd3609dd2a4472a7ed5d5e439f731916b3c6",
+}
+
+
+@pytest.mark.parametrize("seed, direction", list(DIVISOR_SHA256))
+def test_relabeled_divisor_maps_are_byte_identical(seed, direction):
+    space = divisor(250)
+    relabeled = shuffled(space, seed)
+    a, b = (space, relabeled) if direction == "original → relabeled" else (relabeled, space)
+    f = find_homeomorphism(a, b).f
+    assert hashlib.sha256(repr(f).encode()).hexdigest() == DIVISOR_SHA256[seed, direction]

@@ -313,27 +313,30 @@ class TestOneSearchPerSide:
         assert (order, gens, aut) == (result.order, result.generators, result.aut)
         assert result.encoding == canonical_form(crown(5)).masks
 
-    def test_chain_rejects_missing_generator(self):
+    def test_chain_rejects_missing_generator(self, monkeypatch):
         # Aut of the crown is dihedral of order 10, generated by two
         # reflections; either one alone generates a group of order 2.
+        # The chain along the first path is checked before any draw.
         result = refine.canonical_order(crown(5).masks)
-        base = list(range(10))
-        strong, trees = refine.stabilizer_chain(result.generators, base, result.aut)
-        assert [len(t) for t in trees if len(t) > 1] == [5, 2]
+        chain = refine.Chain(result.base, 10, map(list, result.generators))
+        assert [len(t) for t in chain.trees if len(t) > 1] == [5, 2]
+        assert chain.size == result.aut == 10
         assert len(result.generators) == 2
+        monkeypatch.setattr(random, "Random", None)  # a draw would raise TypeError
         for i in range(2):
             rest = result.generators[:i] + result.generators[i + 1 :]
             with pytest.raises(InternalError):
-                refine.stabilizer_chain(rest, base, result.aut)
+                refine.least_map(rest, list(range(10)), result.aut, result.base)
 
-    def test_chain_rejects_too_small_an_order(self):
+    def test_chain_rejects_too_small_an_order(self, monkeypatch):
         result = refine.canonical_order(crown(5).masks)
+        monkeypatch.setattr(random, "Random", None)
         with pytest.raises(InternalError):
-            refine.least_map(result.generators, list(range(10)), 5)
+            refine.least_map(result.generators, list(range(10)), 5, result.base)
 
     def test_least_map_without_generators_is_the_given_map(self):
         f = [3, 1, 4, 0, 2]
-        assert refine.least_map([], f, 1) == f
+        assert refine.least_map([], f, 1, []) == f
 
 
 class TestGlue:

@@ -82,7 +82,7 @@ REPRS = [
     ),
     (
         lambda: canonical_order(SIERP.masks),
-        "SearchResult(order=(0, 1), generators=(), aut=1, encoding=(1, 3), "
+        "SearchResult(order=(0, 1), generators=(), aut=1, encoding=(1, 3), base=(), "
         "individualizations=0, leaves=1, leaf_automorphisms=0, twin_swaps=0, class_swaps=0, "
         "orbit_skips=0)",
     ),
