@@ -10,20 +10,23 @@ checkout's ``SearchResult`` lacks), then |Aut|
 wall-clock times in milliseconds.  The counts repeat exactly, so two
 checkouts can be compared row by row.  The spaces are block spaces,
 crowns and crowns blown up into classes (each point replaced by an
-indiscrete class), divisibility spaces up to the given bound, a discrete
-space and seeded random spaces.  Run with::
+indiscrete class), sums of crowns that color refinement cannot tell
+apart, shuffled by a seeded permutation, divisibility spaces up to the
+given bound, a discrete space and seeded random spaces.  Run with::
 
     PYTHONPATH=src python scripts/search_counts.py [max_bound] [k]
 
 The defaults are 500 and 3.
 """
 
+import random
 import sys
 import time
+from functools import reduce
 
 from finitetop._refine import canonical_order
 from finitetop.constructions import disjoint_sum
-from finitetop.core import Space, from_neighborhoods
+from finitetop.core import Space, from_neighborhoods, relabel
 from finitetop.generators import blocks, discrete, divisor, random_space
 
 COUNTERS = (
@@ -51,6 +54,14 @@ def blown_up(base: Space, m: int) -> Space:
     return Space._of(base.n * m, tuple(masks))
 
 
+def shuffled_sum(*parts: Space) -> Space:
+    """The disjoint sum of parts, relabeled by a permutation from ``random.Random(1)``."""
+    space = reduce(disjoint_sum, parts)
+    perm = list(range(space.n))
+    random.Random(1).shuffle(perm)
+    return relabel(space, perm)
+
+
 def spaces(max_bound: int):
     for b, m in ((4, 2), (5, 2), (6, 2), (7, 2), (4, 3), (3, 4), (8, 8)):
         yield f"blocks({b}, {m})", blocks(b, m)
@@ -59,6 +70,11 @@ def spaces(max_bound: int):
     for k, m in ((4, 2), (6, 2), (4, 3)):
         yield f"crown({k}) blown up by {m}", blown_up(crown(k), m)
     yield "crown(2) + crown(2) blown up by 2", blown_up(disjoint_sum(crown(2), crown(2)), 2)
+    yield "shuffled crown(6) + 2·crown(3)", shuffled_sum(crown(6), crown(3), crown(3))
+    for k in (2, 3):
+        parts = (crown(6), *[crown(3)] * k, blocks(3, 2))
+        yield f"shuffled crown(6) + {k}·crown(3) + blocks(3, 2)", shuffled_sum(*parts)
+    yield "shuffled crown(10) + crown(4) + crown(6)", shuffled_sum(crown(10), crown(4), crown(6))
     for bound in (60, 250, 500, 1000):
         if bound <= max_bound:
             yield f"divisor({bound})", divisor(bound)
@@ -69,7 +85,7 @@ def spaces(max_bound: int):
 
 def main(max_bound: int, k: int) -> None:
     heads = ("indiv", "leaves", "leafaut", "twin", "class", "orbit", "depth")
-    print(f"{'space':<42} " + " ".join(f"{h:>7}" for h in heads) + f" {'|Aut|':>12} {'best ms':>9}")
+    print(f"{'space':<46} " + " ".join(f"{h:>7}" for h in heads) + f" {'|Aut|':>12} {'best ms':>9}")
     for name, space in spaces(max_bound):
         best = float("inf")
         for _ in range(k):
@@ -79,7 +95,7 @@ def main(max_bound: int, k: int) -> None:
         counts = " ".join(f"{getattr(found, c, '-'):>7}" for c in COUNTERS)
         depth = len(found.base) if hasattr(found, "base") else "-"
         aut = f"{found.aut}" if found.aut <= 10**9 else f"{found.aut:.6e}"
-        print(f"{name:<42} {counts} {depth:>7} {aut:>12} {best * 1e3:>9.3f}", flush=True)
+        print(f"{name:<46} {counts} {depth:>7} {aut:>12} {best * 1e3:>9.3f}", flush=True)
 
 
 if __name__ == "__main__":

@@ -346,7 +346,7 @@ class SearchResult(Value):
     depth), and ``individualizations`` counts the individualizations
     the search made, the count ``budget`` bounds.  The other counts split
     the rest of the walk: ``leaves`` reached, ``leaf_automorphisms``
-    (leaves whose table equals the first leaf's), and the candidates
+    (leaves whose table equals an earlier leaf's), and the candidates
     skipped as ``twin_swaps``, ``class_swaps`` or ``orbit_skips``.  Every
     generator is a leaf automorphism, a twin swap or a class swap.
     """
@@ -380,24 +380,28 @@ def canonical_order(
     first with an explicit stack.  Each node holds its stable colors and
     cells, so it reads its tied cell off them and is a leaf when no cell
     is tied, and each child is refined from its parent's cells
-    (``_child``).  The order kept is the leaf with the
-    lexicographically least relabeled mask table (``encode``), which
-    depends only on the structure, never on the incoming numbering.  The
-    member lists S(x) are built once, the lists of points above each
-    point are read off them in the same pass, and every leaf is encoded
-    from them; the winning leaf's table is returned as ``encoding``.
-    The points above each point are summed into masks only when the
-    first candidate with an explored sibling needs them for the swap
-    test below.
+    (``_child``).  The order kept is the leaf with the lexicographically
+    least relabeled mask table (``encode``), which depends only on the
+    structure, never on the incoming numbering; it is returned as
+    ``encoding``.  The member lists S(x) and the lists of points above
+    each point are built once and encode every leaf; the latter are
+    summed into masks only when the swap test first needs them.
 
-    A leaf whose table equals the first leaf's yields an automorphism
-    and sends the walk back to the first path.  At a first-path node a
-    candidate is skipped when it lies in the orbit of an explored
-    sibling under the automorphisms found so far, all of which fix the
-    path to that node.  At any node a candidate p is skipped when a
-    swap of p with an explored sibling q is an automorphism; the swap is
-    recorded as a generator.  A class is the set of points that share a
-    mask.  With d = masks[p] ^ masks[q], A = masks[p] & d and
+    Each leaf's table is kept with its order and its path, the points
+    individualized to reach it.  A leaf that repeats an earlier table
+    yields the automorphism from the earlier order to its own.  Each
+    point individualized keeps its cell's color as its position, so the
+    automorphism maps the earlier path onto this one and the subtree it
+    took where they part, walked already, onto this one's: the walk
+    jumps back to that node.  Every leaf met lies under the deepest
+    first-path node still on the stack, so every automorphism found
+    fixes the path to each first-path node on the stack; there a
+    candidate in the orbit of an explored sibling under them is skipped.
+
+    At any node a candidate p is skipped when a swap of p with an
+    explored sibling q is an automorphism; the swap is recorded as a
+    generator.  A class is the set of points that share a mask.  With
+    d = masks[p] ^ masks[q], A = masks[p] & d and
     B = masks[q] & d, the swap exchanges p and q, pairs the other
     members of A and B in ascending order and fixes every other point.
     It is taken when ``ups[p] ^ ups[q] == d``, ``ups[x]`` being the
@@ -416,28 +420,29 @@ def canonical_order(
     otherwise.  It moves no individualized point: one in A would lie in
     masks[p] but not in masks[q] and have a color of its own, so the
     stable coloring would set p and q apart, and B is symmetric.  So
-    the swap maps the node to itself and q's subtree onto p's.  Every
-    child in the orbit of a first-path node's first child holds a leaf
-    equal to the first leaf, so |Aut| is the product of those orbit
-    sizes along the first path and the automorphisms found generate Aut.
-    Each orbit is counted under ones that fix the path above it, so they
-    are a strong generating set along the path's points, ``base``.
+    the swap maps the node to itself and q's subtree onto p's.
+
+    Each rule drops only subtrees whose leaf tables the walk has met, so
+    a child in the orbit of a first-path node's first child repeats at
+    its first leaf a table first met under the first child, and that
+    leaf's automorphism maps the first child onto it.  So |Aut| is the
+    product of these orbit sizes along the first path, and the
+    automorphisms found generate Aut: a strong generating set along
+    ``base``, as each orbit is counted under ones fixing the path above.
     More than ``budget`` individualizations raise SearchBudgetExceeded;
     the count made is returned as ``individualizations``:
     ``canonical_form(divisor(2000))`` makes 8261.
 
-    With ``target``, another space's canonical table, the same walk is
-    a matching search: it stops at the first leaf whose table is at most
-    ``target`` and returns that leaf's order and table.  Pruning drops
-    only subtrees whose leaves are images of explored ones under Aut, so
-    a search meets every leaf table of its tree and keeps the least.
-    ``target`` is thus the least leaf table of its own space, and a space
-    with an isomorphic table has the same leaf tables: ``encoding``
-    equals ``target`` exactly when the two tables are isomorphic, and
-    the orders of the two leaves then send one onto the other.  The walk
-    is a prefix of the full search, so it makes no more
-    individualizations; its ``generators``, ``aut`` and ``base`` cover
-    only the part walked.
+    With ``target``, another space's canonical table, the same walk is a
+    matching search: it stops at the first leaf whose table is at most
+    ``target`` and returns that leaf's order and table.  A search meets
+    every leaf table of its tree and keeps the least, so ``target`` is
+    the least leaf table of its own space, and a space with an
+    isomorphic table has the same leaf tables: ``encoding`` equals
+    ``target`` exactly when the two tables are isomorphic, and the
+    orders of the two leaves then send one onto the other.  The walk is
+    a prefix of the full search, so it makes no more individualizations;
+    its ``generators``, ``aut`` and ``base`` cover only the part walked.
     """
     n = len(masks)
     down: list[list[int]] = []
@@ -450,14 +455,11 @@ def canonical_order(
     ups: list[int] = []  # the bits of the points above each point, summed on first use
 
     gens: list[tuple[int, ...]] = []
-    # One union-find orbit array over every generator found.  Each fixes
-    # the path to every first-path node still on the stack, so its orbits
-    # prune there; below other nodes only twin and class swaps prune.
+    # One union-find orbit array over every generator found; it prunes only at first-path nodes.
     orbits = list(range(n))
     aut = 1
     spent = 0
-    first_enc: tuple[int, ...] | None = None
-    first_order: list[int] = []
+    seen: dict[tuple[int, ...], tuple[list[int], tuple[int, ...]]] = {}  # table -> (order, path)
     best_enc: tuple[int, ...] = ()
     best_order: list[int] = []
     base: tuple[int, ...] = ()  # the points the first path individualizes
@@ -488,15 +490,14 @@ def canonical_order(
                 if target is not None and enc <= target:
                     best_enc, best_order = enc, order
                     break
-                if first_enc is None:
-                    first_enc, first_order = enc, order
-                    best_enc, best_order = enc, order
-                    first_depth = len(stack) - 1
-                    base = tuple(top[2][0] for top in stack)
-                elif enc == first_enc:
-                    record(order_map(first_order, order))
+                path = tuple(top[2][top[3] - 1] for top in stack)
+                earlier, earlier_path = seen.setdefault(enc, (order, path))
+                if earlier_path is not path:  # the table repeats an earlier leaf's
+                    record(order_map(earlier, order))
                     leaf_automorphisms += 1
-                    del stack[first_depth + 1 :]
+                    del stack[1 + next(i for i, x in enumerate(path) if x != earlier_path[i]) :]
+                elif len(seen) == 1:
+                    first_depth, base, best_enc, best_order = len(stack) - 1, path, enc, order
                 elif enc < best_enc:
                     best_enc, best_order = enc, order
             node = None

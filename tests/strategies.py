@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 
 from hypothesis import strategies as st
 
+from finitetop.constructions import disjoint_sum
 from finitetop.core import PointSet, Space, from_neighborhoods, relabel
+from finitetop.generators import blocks
 
 
 def crown(k: int) -> Space:
@@ -19,6 +22,20 @@ def shuffled(space: Space, seed: int) -> Space:
     perm = list(range(space.n))
     random.Random(seed).shuffle(perm)
     return relabel(space, perm)
+
+
+def crown_sums():
+    """(name, space) for disjoint sums of crowns that color refinement cannot tell apart.
+
+    Their searches meet repeated leaf tables other than the first leaf's.
+    """
+    for name, parts in (
+        ("crown(6) + 2·crown(3)", [crown(6), crown(3), crown(3)]),
+        ("crown(6) + 2·crown(3) + blocks(3, 2)", [crown(6), crown(3), crown(3), blocks(3, 2)]),
+        ("crown(6) + 3·crown(3) + blocks(3, 2)", [crown(6), *[crown(3)] * 3, blocks(3, 2)]),
+        ("crown(10) + crown(4) + crown(6)", [crown(10), crown(4), crown(6)]),
+    ):
+        yield name, reduce(disjoint_sum, parts)
 
 
 @st.composite

@@ -8,7 +8,10 @@ refinement or the search that renumbers colors, reorders generators or
 picks another leaf shows here even when it still finds a valid form.
 A second digest covers larger searches: divisibility spaces of 500 and
 1000 points, whose first paths run dozens of levels deep, and the
-block spaces ``blocks(7, 2)`` and ``blocks(8, 8)``.
+block spaces ``blocks(7, 2)`` and ``blocks(8, 8)``.  A third digest
+covers shuffled sums of crowns, whose searches meet a leaf table that
+repeats an earlier leaf other than the first; it leaves out the
+generators, which depend on which repeated leaves the search meets.
 """
 
 import hashlib
@@ -16,13 +19,16 @@ import hashlib
 from finitetop._refine import canonical_order
 from finitetop.generators import blocks, divisor, random_space
 
-from strategies import crown
+from strategies import crown, crown_sums, shuffled
 
 #: sha256 of the corpus below, recorded before the cell-local refinement.
 CORPUS_SHA256 = "7fae4c5a7241e96945d3fb47dd1b69fcde88d41aec9a1c0c620c6942f1614f59"
 
 #: sha256 of the larger searches below, recorded before searches refined from their parent's cells.
 LARGE_SHA256 = "e909e500cd7a6199b54558d0f7d167f6b7c85e3ee6bc09504712789e57710868"
+
+#: sha256 of the crown sums below, recorded before any repeated leaf table gave an automorphism.
+CROWN_SUMS_SHA256 = "dfed3848659a38fe754a2dfd0bf002278c0a41dd8603cce55a14ac95db2b02dd"
 
 
 def corpus():
@@ -45,6 +51,12 @@ def large():
     yield "blocks(8, 8)", blocks(8, 8)
 
 
+def shuffled_crown_sums():
+    for name, space in crown_sums():
+        for seed in (1, 2):
+            yield f"{name}, shuffled by {seed}", shuffled(space, seed)
+
+
 def digest(spaces) -> str:
     h = hashlib.sha256()
     for name, space in spaces:
@@ -59,3 +71,11 @@ def test_canonical_searches_are_byte_identical_on_the_pinned_corpus():
 
 def test_larger_canonical_searches_are_byte_identical():
     assert digest(large()) == LARGE_SHA256
+
+
+def test_crown_sum_searches_keep_order_aut_and_table():
+    h = hashlib.sha256()
+    for name, space in shuffled_crown_sums():
+        r = canonical_order(space.masks)
+        h.update(repr((name, r.order, r.aut, r.encoding)).encode())
+    assert h.hexdigest() == CROWN_SUMS_SHA256

@@ -9,7 +9,9 @@ at the budget edge pin how much of the tree the search walks, and the
 search reports the same count in ``SearchResult.individualizations``.
 """
 
+from functools import reduce
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -98,6 +100,7 @@ def test_least_map_on_a_petersen_incidence_poset():
         (lambda: blocks(4, 3), 8),
         (lambda: blocks(3, 4), 9),
         (lambda: disjoint_sum(blocks(6, 3), blocks(6, 3)), 24),
+        (lambda: reduce(disjoint_sum, [crown(6), crown(3), crown(3)]), 96),
     ],
     ids=[
         "discrete6",
@@ -112,6 +115,7 @@ def test_least_map_on_a_petersen_incidence_poset():
         "blocks4x3",
         "blocks3x4",
         "blocks6x3-twice",
+        "crown6+2crown3",
     ],
 )
 def test_individualizations_at_the_budget_edge(build, spent):
@@ -120,6 +124,19 @@ def test_individualizations_at_the_budget_edge(build, spent):
     canonical_order(masks, budget=spent)
     with pytest.raises(SearchBudgetExceeded):
         canonical_order(masks, budget=spent - 1)
+
+
+def test_leaves_repeating_any_earlier_table_prune_a_crown_sum():
+    # Refinement does not tell crown(6) from crown(3) + crown(3), so the
+    # walk explores subtrees off the first path, and their leaves repeat
+    # tables met before, not only the first leaf's.  Each repeat is an
+    # automorphism that ends the subtree; comparing with the first leaf
+    # alone walks every automorphic copy, over 10^6 individualizations.
+    parts = [crown(6), *[crown(3)] * 5, blocks(3, 2)]
+    space = shuffled(reduce(disjoint_sum, parts), 1)
+    found = canonical_order(space.masks, budget=5000)
+    assert found.aut == 12 * 6**5 * factorial(5) * 2**3 * factorial(3)
+    assert find_homeomorphism(space, shuffled(space, 2), budget=5000) is not None
 
 
 # Counted by hand.  discrete(6): every pair of points is a twin pair, so

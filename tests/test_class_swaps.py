@@ -126,14 +126,14 @@ def test_class_swaps_below_the_first_path(b, m, seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_the_least_map_gets_each_generator_once(seed, monkeypatch):
     # Off the first path the search records a swap again at every node
-    # where it applies, so its generator list repeats itself many times.
+    # where it applies, so its generator list repeats itself.
     # The least map is unique, so one copy of each gives the map that the
     # whole list gives.
     base = disjoint_sum(disjoint_sum(crown(6), disjoint_sum(crown(3), crown(3))), blocks(3, 2))
     a, b = shuffled(base, seed), shuffled(base, 40 + seed)
     ra = canonical_order(a.masks)
     rb = canonical_order(b.masks)
-    assert len(ra.generators) > 10 * len(set(ra.generators))
+    assert len(ra.generators) > len(set(ra.generators))
     phi = order_map(ra.order, rb.order)
     every_copy = [order_map(phi, [phi[y] for y in g]) for g in ra.generators]
     received = []

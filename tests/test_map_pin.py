@@ -8,7 +8,9 @@ points, whose Aut moves 102 of them, and block, discrete and summed
 block spaces, whose Aut moves every point.  A change to the stabilizer
 chain or to how the least map is read off it that picks another map
 shows here.  Two more relabelings of the divisibility space are pinned
-one direction at a time, so that a failure names the direction.
+one direction at a time, so that a failure names the direction, and so
+are the maps between two shuffles of each sum of crowns in
+``strategies.crown_sums``.
 """
 
 import hashlib
@@ -19,7 +21,7 @@ from finitetop.constructions import disjoint_sum
 from finitetop.generators import blocks, discrete, divisor
 from finitetop.maps import find_homeomorphism
 
-from strategies import shuffled
+from strategies import crown_sums, shuffled
 
 #: sha256 of the maps below, recorded before the chain was built on Aut's support.
 MAPS_SHA256 = "11842cdedf329c394d5840251ac81e7b0234bf5bcd975bdedbd8ac132d07abcf"
@@ -61,3 +63,16 @@ def test_relabeled_divisor_maps_are_byte_identical(seed, direction):
     a, b = (space, relabeled) if direction == "original → relabeled" else (relabeled, space)
     f = find_homeomorphism(a, b).f
     assert hashlib.sha256(repr(f).encode()).hexdigest() == DIVISOR_SHA256[seed, direction]
+
+
+#: sha256 of the crown-sum maps below, recorded before any repeated leaf table gave an automorphism.
+CROWN_SUM_MAPS_SHA256 = "2416ff90ab6ee143b501667238bcf9205ef035957bbefb1528e6d108a67a6d13"
+
+
+def test_crown_sum_maps_are_byte_identical():
+    h = hashlib.sha256()
+    for name, space in crown_sums():
+        a, b = shuffled(space, 1), shuffled(space, 2)
+        for direction, (x, y) in (("1 → 2", (a, b)), ("2 → 1", (b, a))):
+            h.update(repr((name, direction, find_homeomorphism(x, y).f)).encode())
+    assert h.hexdigest() == CROWN_SUM_MAPS_SHA256
