@@ -21,20 +21,15 @@ The default k is 20.
 import hashlib
 import random
 import sys
-import time
 
 from finitetop.constructions import Partition, disjoint_sum, product, quotient, t0_quotient
-from finitetop.core import SubsetFamily, from_open_family, open_sets, relabel
+from finitetop.core import SubsetFamily, from_open_family, open_sets
 from finitetop.generators import blocks, chain, discrete
 from finitetop.invariants import report
 
+from corpus import best_of, shuffled
+
 SEED = 7
-
-
-def shuffled(space):
-    perm = list(range(space.n))
-    random.Random(SEED).shuffle(perm)
-    return relabel(space, perm), perm
 
 
 def by_pairs(n):
@@ -68,7 +63,7 @@ def rows():
             ("quotient grid16 by a random pairing", grid16, by_random_pairing),
             ("quotient blocks(8,4)xchain(16) by fours", blocks_chain, by_fours),
         ):
-            x, perm = (space, range(space.n)) if ids == "natural" else shuffled(space)
+            x, perm = (space, range(space.n)) if ids == "natural" else shuffled(space, SEED)
             classes = [0] * x.n
             for p, c in enumerate(block_of(x.n)):
                 classes[perm[p]] = c
@@ -79,7 +74,7 @@ def rows():
             ("t0_quotient grid16", grid16),
             ("t0_quotient grid24", grid24),
         ):
-            x = space if ids == "natural" else shuffled(space)[0]
+            x = space if ids == "natural" else shuffled(space, SEED)[0]
             yield f"{name} ({ids})", lambda x=x: t0_quotient(x)[0], masks_of
         for name, space in (
             ("report grid16", grid16),
@@ -88,14 +83,14 @@ def rows():
             ("report blocks(16,8)xchain(8)", wide),
             ("report grid16+blocks(8,4)xchain(16)", disjoint_sum(grid16, blocks_chain)),
         ):
-            x = space if ids == "natural" else shuffled(space)[0]
+            x = space if ids == "natural" else shuffled(space, SEED)[0]
             yield f"{name} ({ids})", lambda x=x: report(x), fields_of
         for name, space in (
             ("from_open_family discrete(10)", discrete(10)),
             ("from_open_family grid6", product(chain(6), chain(6))),
             ("from_open_family grid7", product(chain(7), chain(7))),
         ):
-            x = space if ids == "natural" else shuffled(space)[0]
+            x = space if ids == "natural" else shuffled(space, SEED)[0]
             fam = SubsetFamily(x.n, tuple(open_sets(x)))
             yield f"{name} ({ids})", lambda fam=fam: from_open_family(fam), masks_of
 
@@ -124,11 +119,7 @@ def fields_of(rep):
 def main(k: int) -> None:
     print(f"{'row':<56} {'best ms':>9}  sha256")
     for name, thunk, digest in rows():
-        best = float("inf")
-        for _ in range(k):
-            start = time.perf_counter()
-            out = thunk()
-            best = min(best, time.perf_counter() - start)
+        best, out = best_of(k, thunk)
         sha = hashlib.sha256(digest(out).encode()).hexdigest()[:16]
         print(f"{name:<56} {best * 1e3:>9.3f}  {sha}", flush=True)
 

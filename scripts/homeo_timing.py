@@ -2,18 +2,21 @@
 """Time ``find_homeomorphism`` on fixed pairs, in both directions.
 
 Each space is paired with a relabeling of itself by a permutation drawn
-from ``random.Random(7)``; the "no" pairs at the end pair a space with
-a relabeling of another one of the same size: two crown pairs that
-color refinement cannot separate, and two block spaces whose
-neighborhood sizes differ.  For each direction the script prints the
-best of k wall-clock runs in seconds and the first 16 hex digits of the
-sha256 of the map, or ``none`` when there is no homeomorphism, so two
-checkouts can be compared for speed and for identical answers.  For a
-found map it also prints the best of k times of ``is_continuous`` and of
-the homeomorphism check ``find_homeomorphism`` ends with, in
-milliseconds, each with its answer.  Check-only rows follow: the same two checks on larger spaces
-and their known relabeling, with no search.
-Divisibility spaces run up to the given bound.  Run with::
+from ``random.Random(7)``; the "no" pairs near the end pair a space
+with a relabeling of another one of the same size: two crown pairs that
+color refinement cannot separate and two block spaces whose
+neighborhood sizes differ.  Last come the Cai–Fürer–Immerman poset of
+a seeded random cubic graph paired with itself and with its twisted
+copy, which refinement cannot separate either.  For each direction the
+script prints the best of k wall-clock runs in seconds and the first 16
+hex digits of the sha256 of the map, or ``none`` when there is no
+homeomorphism, so two checkouts can be compared for speed and for
+identical answers.  For a found map it also prints the best of k times
+of ``is_continuous`` and of the homeomorphism check
+``find_homeomorphism`` ends with, in milliseconds, each with its
+answer.  Check-only rows follow: the same two checks on larger spaces
+and their known relabeling, with no search.  Divisibility spaces run up
+to the given bound.  Run with::
 
     PYTHONPATH=src python scripts/homeo_timing.py [max_bound] [k]
 
@@ -22,22 +25,15 @@ The defaults are 250 and 3; ``max_bound`` 500 adds ``divisor(500)`` and
 """
 
 import hashlib
-import random
 import sys
-import time
 
 from finitetop.constructions import disjoint_sum, product
-from finitetop.core import from_neighborhoods, relabel
 from finitetop.generators import blocks, chain, discrete, divisor, random_space
 from finitetop.maps import SpaceMap, _is_structure_isomorphism, find_homeomorphism, is_continuous
 
+from corpus import best_of, cfi, crown, random_cubic, shuffled
+
 SEED = 7
-
-
-def crown(k: int):
-    """k minimal points and k maximal ones, max i above min i and min i + 1 (mod k)."""
-    nbhds = [{i} for i in range(k)] + [{k + i, i, (i + 1) % k} for i in range(k)]
-    return from_neighborhoods(2 * k, nbhds)
 
 
 def pairs(max_bound: int):
@@ -56,16 +52,9 @@ def pairs(max_bound: int):
     yield "crown(4) vs crown(2) + crown(2)", crown(4), disjoint_sum(crown(2), crown(2))
     yield "crown(5) vs crown(2) + crown(3)", crown(5), disjoint_sum(crown(2), crown(3))
     yield "blocks(5, 2) vs blocks(2, 5)", blocks(5, 2), blocks(2, 5)
-
-
-def best_of(k: int, call):
-    """The least wall-clock seconds of k calls, and the last call's answer."""
-    best = float("inf")
-    for _ in range(k):
-        start = time.perf_counter()
-        out = call()
-        best = min(best, time.perf_counter() - start)
-    return best, out
+    cubic = random_cubic(16, 1)
+    yield "CFI(cubic 16, seed 1)", cfi(*cubic), cfi(*cubic)
+    yield "CFI(cubic 16, seed 1) vs twisted", cfi(*cubic), cfi(*cubic, twisted=True)
 
 
 def checks(h: SpaceMap, k: int) -> str:
@@ -79,9 +68,7 @@ def main(max_bound: int, k: int) -> None:
     print(f"{'space':<42} {'direction':<22} {'best s':>9}  {'map sha256':<16} "
           f"{'cont ms':>9} {'':<5} {'check ms':>9}")
     for name, space, other in pairs(max_bound):
-        perm = list(range(other.n))
-        random.Random(SEED).shuffle(perm)
-        relabeled = relabel(other, perm)
+        relabeled = shuffled(other, SEED)[0]
         for direction, (a, b) in (
             ("original → relabeled", (space, relabeled)),
             ("relabeled → original", (relabeled, space)),
@@ -96,9 +83,8 @@ def main(max_bound: int, k: int) -> None:
         ("random_space(1024, 2)", random_space(1024, 2)),
         ("product(chain(64), chain(64))", product(chain(64), chain(64))),
     ):
-        perm = list(range(space.n))
-        random.Random(SEED).shuffle(perm)
-        h = SpaceMap(space, relabel(space, perm), tuple(perm))
+        relabeled, perm = shuffled(space, SEED)
+        h = SpaceMap(space, relabeled, tuple(perm))
         print(f"{name:<42} {'check only, known map':<22} {'':>9}  {'':<16} {checks(h, k)}",
               flush=True)
 

@@ -12,54 +12,31 @@ checkouts can be compared row by row.  The spaces are block spaces,
 crowns and crowns blown up into classes (each point replaced by an
 indiscrete class), sums of crowns that color refinement cannot tell
 apart, shuffled by a seeded permutation, divisibility spaces up to the
-given bound, a discrete space and seeded random spaces.  Run with::
+given bound, a discrete space, seeded random spaces, the
+Cai–Fürer–Immerman posets of K4, Petersen and seeded random cubic
+graphs, and the incidence posets of four strongly regular graphs (the
+builders are in ``corpus.py``).  Run with::
 
     PYTHONPATH=src python scripts/search_counts.py [max_bound] [k]
 
 The defaults are 500 and 3.
 """
 
-import random
 import sys
-import time
-from functools import reduce
 
 from finitetop._refine import canonical_order
 from finitetop.constructions import disjoint_sum
-from finitetop.core import Space, from_neighborhoods, relabel
 from finitetop.generators import blocks, discrete, divisor, random_space
+
+from corpus import (
+    CUBIC, best_of, blown_up, cfi, crown, incidence_poset, random_cubic, shuffled_sum,
+    strongly_regular,
+)
 
 COUNTERS = (
     "individualizations", "leaves", "leaf_automorphisms", "twin_swaps", "class_swaps",
     "orbit_skips",
 )
-
-
-def crown(k: int) -> Space:
-    """k minimal points and k maximal ones, max i above min i and min i + 1 (mod k)."""
-    nbhds = [{i} for i in range(k)] + [{k + i, i, (i + 1) % k} for i in range(k)]
-    return from_neighborhoods(2 * k, nbhds)
-
-
-def blown_up(base: Space, m: int) -> Space:
-    """base with every point replaced by an indiscrete class of m points."""
-    group = (1 << m) - 1
-    masks = []
-    for mask in base.masks:
-        out = 0
-        for y in range(base.n):
-            if mask >> y & 1:
-                out |= group << (y * m)
-        masks += [out] * m
-    return Space._of(base.n * m, tuple(masks))
-
-
-def shuffled_sum(*parts: Space) -> Space:
-    """The disjoint sum of parts, relabeled by a permutation from ``random.Random(1)``."""
-    space = reduce(disjoint_sum, parts)
-    perm = list(range(space.n))
-    random.Random(1).shuffle(perm)
-    return relabel(space, perm)
 
 
 def spaces(max_bound: int):
@@ -81,17 +58,19 @@ def spaces(max_bound: int):
     yield "discrete(64)", discrete(64)
     for seed in (1, 2, 3):
         yield f"random_space(64, {seed})", random_space(64, seed)
+    for name in ("K4", "Petersen"):
+        yield f"CFI({name})", cfi(*CUBIC[name][0])
+    for nv in (10, 16, 24):
+        yield f"CFI(cubic {nv}, seed 1)", cfi(*random_cubic(nv, 1))
+    for name, g in strongly_regular():
+        yield f"incidence poset of {name}", incidence_poset(*g)
 
 
 def main(max_bound: int, k: int) -> None:
     heads = ("indiv", "leaves", "leafaut", "twin", "class", "orbit", "depth")
     print(f"{'space':<46} " + " ".join(f"{h:>7}" for h in heads) + f" {'|Aut|':>12} {'best ms':>9}")
     for name, space in spaces(max_bound):
-        best = float("inf")
-        for _ in range(k):
-            start = time.perf_counter()
-            found = canonical_order(space.masks)
-            best = min(best, time.perf_counter() - start)
+        best, found = best_of(k, lambda: canonical_order(space.masks))
         counts = " ".join(f"{getattr(found, c, '-'):>7}" for c in COUNTERS)
         depth = len(found.base) if hasattr(found, "base") else "-"
         aut = f"{found.aut}" if found.aut <= 10**9 else f"{found.aut:.6e}"

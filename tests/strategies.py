@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from functools import reduce
+from itertools import combinations
 
 from hypothesis import strategies as st
 
@@ -36,6 +37,73 @@ def crown_sums():
         ("crown(10) + crown(4) + crown(6)", [crown(10), crown(4), crown(6)]),
     ):
         yield name, reduce(disjoint_sum, parts)
+
+
+def incidence_poset(vertices: int, edges: list[tuple[int, int]]) -> Space:
+    """Vertices 0.., then one point per edge lying above its two ends."""
+    nbhds = [{v} for v in range(vertices)]
+    nbhds += [{vertices + i, u, w} for i, (u, w) in enumerate(edges)]
+    return from_neighborhoods(len(nbhds), nbhds)
+
+
+def graph(vertices: int, adjacent) -> tuple[int, list[tuple[int, int]]]:
+    """The graph on 0..vertices − 1 with an edge u < w wherever adjacent(u, w)."""
+    return vertices, [(u, w) for u, w in combinations(range(vertices), 2) if adjacent(u, w)]
+
+
+_PAIRS = list(combinations(range(5), 2))
+
+#: name: (graph, |Aut(G)|); Heawood is the point–line incidence graph of the Fano plane.
+CUBIC = {
+    "K4": (graph(4, lambda u, w: True), 24),
+    "K3,3": (graph(6, lambda u, w: u < 3 <= w), 72),
+    "cube": (graph(8, lambda u, w: (u ^ w).bit_count() == 1), 48),
+    "Petersen": (graph(10, lambda u, w: not set(_PAIRS[u]) & set(_PAIRS[w])), 120),
+    "Heawood": (graph(14, lambda u, w: u < 7 <= w and (u - w) % 7 in (0, 1, 3)), 336),
+}
+
+
+def random_cubic(nv: int, seed: int) -> tuple[int, list[tuple[int, int]]]:
+    """A cubic graph on nv points: its 3·nv stubs, in order, shuffled and paired in turn.
+
+    One ``random.Random(seed)`` reshuffles the stubs, from their order,
+    until the pairing has no loop and no repeated edge.
+    """
+    rng = random.Random(seed)
+    while True:
+        stubs = [v for v in range(nv) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {tuple(sorted(stubs[i:i + 2])) for i in range(0, 3 * nv, 2)}
+        if len(edges) == 3 * nv // 2 and all(u != w for u, w in edges):
+            return nv, sorted(edges)
+
+
+def cfi(vertices: int, edges: list[tuple[int, int]], twisted: bool = False) -> Space:
+    """The incidence poset of the Cai–Fürer–Immerman graph of (vertices, edges).
+
+    Each vertex v has two points a(v, e, 0) and a(v, e, 1) per edge e at
+    it and, for each even-size set S of its edges, a point joined to
+    a(v, e, [e ∈ S]) for every e.  Each edge e = (u, w) joins a(u, e, b)
+    to a(w, e, b), crossed on edge 0 when twisted.  Points are numbered
+    on first use.  Color refinement cannot tell the twisted copy from
+    the untwisted one.
+    """
+    ids = {}
+
+    def point(key) -> int:
+        return ids.setdefault(key, len(ids))
+
+    joins = []
+    for v in range(vertices):
+        at = [e for e, ends in enumerate(edges) if v in ends]
+        for size in range(0, len(at) + 1, 2):
+            for s in combinations(at, size):
+                gadget = point((v, s))
+                joins += [(gadget, point((v, e, e in s))) for e in at]
+    for e, (u, w) in enumerate(edges):
+        for b in (False, True):
+            joins.append((point((u, e, b)), point((w, e, b != (twisted and e == 0)))))
+    return incidence_poset(len(ids), joins)
 
 
 @st.composite

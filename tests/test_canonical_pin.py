@@ -12,14 +12,19 @@ block spaces ``blocks(7, 2)`` and ``blocks(8, 8)``.  A third digest
 covers shuffled sums of crowns, whose searches meet a leaf table that
 repeats an earlier leaf other than the first; it leaves out the
 generators, which depend on which repeated leaves the search meets.
+A fourth digest covers Cai–Fürer–Immerman posets, which color
+refinement cannot split, with the first path ``base`` and without the
+generators, so that a change to which subtrees the search prunes
+shows only if it changes the result.
 """
 
 import hashlib
+from operator import attrgetter
 
 from finitetop._refine import canonical_order
 from finitetop.generators import blocks, divisor, random_space
 
-from strategies import crown, crown_sums, shuffled
+from strategies import CUBIC, cfi, crown, crown_sums, random_cubic, shuffled
 
 #: sha256 of the corpus below, recorded before the cell-local refinement.
 CORPUS_SHA256 = "7fae4c5a7241e96945d3fb47dd1b69fcde88d41aec9a1c0c620c6942f1614f59"
@@ -29,6 +34,9 @@ LARGE_SHA256 = "e909e500cd7a6199b54558d0f7d167f6b7c85e3ee6bc09504712789e57710868
 
 #: sha256 of the crown sums below, recorded before any repeated leaf table gave an automorphism.
 CROWN_SUMS_SHA256 = "dfed3848659a38fe754a2dfd0bf002278c0a41dd8603cce55a14ac95db2b02dd"
+
+#: sha256 of the CFI posets below, recorded before automorphism pruning at every node.
+CFI_SHA256 = "024b356f0d590a6c8eca51f5b5c6734b50cc54aadb63906b6368f55165dae059"
 
 
 def corpus():
@@ -57,11 +65,22 @@ def shuffled_crown_sums():
             yield f"{name}, shuffled by {seed}", shuffled(space, seed)
 
 
-def digest(spaces) -> str:
+def cfi_posets():
+    for name, g in (
+        ("K4", CUBIC["K4"][0]),
+        ("Petersen", CUBIC["Petersen"][0]),
+        ("cubic 10, seed 1", random_cubic(10, 1)),
+    ):
+        space = cfi(*g)
+        yield f"CFI({name})", space
+        for seed in (1, 2):
+            yield f"CFI({name}), shuffled by {seed}", shuffled(space, seed)
+
+
+def digest(spaces, fields=attrgetter("order", "generators", "aut", "encoding")) -> str:
     h = hashlib.sha256()
     for name, space in spaces:
-        r = canonical_order(space.masks)
-        h.update(repr((name, r.order, r.generators, r.aut, r.encoding)).encode())
+        h.update(repr((name, *fields(canonical_order(space.masks)))).encode())
     return h.hexdigest()
 
 
@@ -74,8 +93,10 @@ def test_larger_canonical_searches_are_byte_identical():
 
 
 def test_crown_sum_searches_keep_order_aut_and_table():
-    h = hashlib.sha256()
-    for name, space in shuffled_crown_sums():
-        r = canonical_order(space.masks)
-        h.update(repr((name, r.order, r.aut, r.encoding)).encode())
-    assert h.hexdigest() == CROWN_SUMS_SHA256
+    fields = attrgetter("order", "aut", "encoding")
+    assert digest(shuffled_crown_sums(), fields) == CROWN_SUMS_SHA256
+
+
+def test_cfi_searches_keep_order_aut_table_and_base():
+    fields = attrgetter("order", "aut", "encoding", "base")
+    assert digest(cfi_posets(), fields) == CFI_SHA256

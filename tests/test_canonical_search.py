@@ -4,59 +4,49 @@ The incidence poset of a graph has the vertices as minimal points and
 one point above the two ends of each edge.  For a strongly regular
 graph every vertex and every edge point looks alike to color
 refinement, so |Aut| and the homeomorphism answers rest on the
-individualization search and its pruning.  The individualization counts
+individualization search and its pruning.  The same holds for the
+Cai–Fürer–Immerman posets of cubic graphs, which refinement cannot tell
+from their twisted copies.  The individualization counts
 at the budget edge pin how much of the tree the search walks, and the
 search reports the same count in ``SearchResult.individualizations``.
 """
 
 from functools import reduce
-from itertools import combinations
 from math import factorial
 
 import pytest
 
 from finitetop._refine import canonical_order
 from finitetop.constructions import disjoint_sum
-from finitetop.core import Space, from_neighborhoods
+from finitetop.core import Space
 from finitetop.errors import SearchBudgetExceeded
 from finitetop.generators import blocks, discrete, divisor
 from finitetop.maps import find_homeomorphism
 
 from oracles import least_isomorphism_backtracking
-from strategies import crown, shuffled
-
-
-def incidence_poset(vertices: int, edges: list[tuple[int, int]]) -> Space:
-    """Vertices 0.., then one point per edge lying above its two ends."""
-    nbhds = [{v} for v in range(vertices)]
-    nbhds += [{vertices + i, u, w} for i, (u, w) in enumerate(edges)]
-    return from_neighborhoods(len(nbhds), nbhds)
-
-
-def graph(vertices: int, adjacent) -> Space:
-    pairs = combinations(range(vertices), 2)
-    return incidence_poset(vertices, [(u, w) for u, w in pairs if adjacent(u, w)])
+from strategies import CUBIC, cfi, crown, graph, incidence_poset, shuffled
 
 
 def petersen() -> Space:
-    pairs = list(combinations(range(5), 2))
-    return graph(len(pairs), lambda u, w: not set(pairs[u]) & set(pairs[w]))
+    return incidence_poset(*CUBIC["Petersen"][0])
 
 
 def paley(q: int) -> Space:
     squares = {x * x % q for x in range(1, q)}
-    return graph(q, lambda u, w: (w - u) % q in squares)
+    return incidence_poset(*graph(q, lambda u, w: (w - u) % q in squares))
 
 
 def rook_4x4() -> Space:
     """K4□K4: points of a 4 × 4 grid, adjacent when they share a row or a column."""
-    return graph(16, lambda u, w: u // 4 == w // 4 or u % 4 == w % 4)
+    return incidence_poset(*graph(16, lambda u, w: u // 4 == w // 4 or u % 4 == w % 4))
 
 
 def shrikhande() -> Space:
     """Z4 × Z4, adjacent when they differ by ±(1, 0), ±(0, 1) or ±(1, 1)."""
     steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
-    return graph(16, lambda u, w: ((w // 4 - u // 4) % 4, (w % 4 - u % 4) % 4) in steps)
+    return incidence_poset(
+        *graph(16, lambda u, w: ((w // 4 - u // 4) % 4, (w % 4 - u % 4) % 4) in steps)
+    )
 
 
 @pytest.mark.parametrize(
@@ -83,6 +73,30 @@ def test_least_map_on_a_petersen_incidence_poset():
     h = find_homeomorphism(a, b)
     assert h is not None
     assert h.f == least_isomorphism_backtracking(list(a.masks), list(b.masks), 10**6)
+
+
+# For these graphs |Aut(CFI(G))| = |Aut(G)| · 2^(m − v + 1), with m
+# edges and v vertices: every automorphism of G lifts, and those fixing
+# each gadget flip the point pairs along a cycle, one per element of
+# the cycle space of G.
+@pytest.mark.parametrize(
+    "name, aut",
+    [("K4", 192), ("K3,3", 1152), ("cube", 1536), ("Petersen", 7680), ("Heawood", 86016)],
+)
+def test_automorphism_counts_of_cfi_posets(name, aut):
+    (vertices, edges), aut_g = CUBIC[name]
+    assert aut == aut_g * 2 ** (len(edges) - vertices + 1)
+    space = cfi(vertices, edges)
+    for seed in range(2):
+        assert canonical_order(shuffled(space, seed).masks).aut == aut
+
+
+@pytest.mark.parametrize("name", ["K4", "Petersen"])
+def test_cfi_posets_match_their_shuffles_and_not_their_twisted_copies(name):
+    g = CUBIC[name][0]
+    space = cfi(*g)
+    assert find_homeomorphism(space, shuffled(space, 1)) is not None
+    assert find_homeomorphism(space, shuffled(cfi(*g, twisted=True), 1)) is None
 
 
 @pytest.mark.parametrize(
