@@ -129,10 +129,7 @@ class SubsetFamily(Value):
         )
 
     def distinct_bits(self) -> list[int]:
-        seen: dict[int, None] = {}
-        for s in self.sets:
-            seen.setdefault(s.bits, None)
-        return list(seen)
+        return list(dict.fromkeys(s.bits for s in self.sets))
 
 
 class Space(Value):

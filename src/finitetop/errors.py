@@ -21,55 +21,54 @@ class InvalidArgument(FinitetopError, ValueError):
     """A size or parameter outside the range an operation accepts."""
 
 
+class _PointWitness(FinitetopError):
+    """An error naming points: ``fields`` are their attributes, ``template`` the message."""
+
+    fields: tuple[str, ...] = ("point",)
+    template: str
+
+    def __init__(self, *points: int):
+        self.__dict__.update(zip(self.fields, points, strict=True))
+        super().__init__(self.describe(str))
+
+    def describe(self, name: Callable[[int], str]) -> str:
+        """The message with each witness point written as ``name(point)``."""
+        return self.template.format_map({f: name(getattr(self, f)) for f in self.fields})
+
+
 # ---------------------------------------------------------------------------
 # space construction
 
 
-class ReflexivityViolation(FinitetopError):
+class ReflexivityViolation(_PointWitness):
     """A point is missing from its own minimal neighborhood."""
 
-    def __init__(self, point: int):
-        self.point = point
-        super().__init__(self.describe(str))
-
-    def describe(self, name: Callable[[int], str]) -> str:
-        """The message with each witness point written as ``name(point)``."""
-        return f"point {name(self.point)} is not a member of its own neighborhood"
+    template = "point {point} is not a member of its own neighborhood"
 
 
-class MinimalityViolation(FinitetopError):
+class MinimalityViolation(_PointWitness):
     """nbhd[y] is not contained in nbhd[x] although y lies in nbhd[x]."""
 
-    def __init__(self, point: int, member: int):
-        self.point = point
-        self.member = member
-        super().__init__(self.describe(str))
-
-    def describe(self, name: Callable[[int], str]) -> str:
-        """The message with each witness point written as ``name(point)``."""
-        return (
-            f"point {name(self.member)} lies in the neighborhood of {name(self.point)}, "
-            f"but its own neighborhood is not contained there"
-        )
+    fields = ("point", "member")
+    template = (
+        "point {member} lies in the neighborhood of {point}, "
+        "but its own neighborhood is not contained there"
+    )
 
 
-class NotCovered(FinitetopError):
+class NotCovered(_PointWitness):
     """A basis input leaves some point outside every set."""
 
-    def __init__(self, point: int):
-        self.point = point
-        super().__init__(f"no set of the family contains point {point}")
+    template = "no set of the family contains point {point}"
 
 
-class NoMinimalSet(FinitetopError):
+class NoMinimalSet(_PointWitness):
     """The intersection of the sets around a point is not itself a family member."""
 
-    def __init__(self, point: int):
-        self.point = point
-        super().__init__(
-            f"the family has no minimal member around point {point}: "
-            f"the intersection of its containing sets is not in the family"
-        )
+    template = (
+        "the family has no minimal member around point {point}: "
+        "the intersection of its containing sets is not in the family"
+    )
 
 
 class NotATopology(FinitetopError):
@@ -81,10 +80,10 @@ class NotATopology(FinitetopError):
         super().__init__(reason)
 
 
-class NotReflexive(FinitetopError):
-    def __init__(self, point: int):
-        self.point = point
-        super().__init__(f"relation is missing the pair ({point}, {point})")
+class NotReflexive(_PointWitness):
+    """The relation lacks the pair (x, x) for the witness point x."""
+
+    template = "relation is missing the pair ({point}, {point})"
 
 
 class NotTransitive(FinitetopError):
@@ -123,18 +122,16 @@ class PartitionMismatch(FinitetopError):
 # maps
 
 
-class NotContinuous(FinitetopError):
-    def __init__(self, point: int):
-        self.point = point
-        super().__init__(f"map is not continuous at source point {point}")
+class NotContinuous(_PointWitness):
+    """f(S(x)) is not inside S(f(x)) for the witness point x."""
+
+    template = "map is not continuous at source point {point}"
 
 
-class NotOpen(FinitetopError):
-    def __init__(self, point: int):
-        self.point = point
-        super().__init__(
-            f"image of the neighborhood of point {point} is not open in the image"
-        )
+class NotOpen(_PointWitness):
+    """f(S(x)) is not open in the image f(X) for the witness point x."""
+
+    template = "image of the neighborhood of point {point} is not open in the image"
 
 
 class SearchBudgetExceeded(FinitetopError):
@@ -147,16 +144,10 @@ class InvalidGlueData(FinitetopError):
     """Glue input violates its structural requirements."""
 
 
-class NotWellDefined(FinitetopError):
+class NotWellDefined(_PointWitness):
     """Two local maps disagree at a shared point, so no single map exists."""
 
-    def __init__(self, point: int):
-        self.point = point
-        super().__init__(self.describe(str))
-
-    def describe(self, name: Callable[[int], str]) -> str:
-        """The message with the witness point written as ``name(point)``."""
-        return f"local maps disagree at point {name(self.point)}"
+    template = "local maps disagree at point {point}"
 
 
 class ResultNotHomeomorphism(FinitetopError):

@@ -187,7 +187,19 @@ class GlueData(Value):
         return cls(ps, ms)
 
 
-def _validate_glue(x: Space, y: Space, g: GlueData) -> list[dict[int, int]]:
+def glue(x: Space, y: Space, g: GlueData) -> SpaceMap:
+    """Assemble a homeomorphism from a neighborhood bijection and local maps.
+
+    One pass over the listed neighborhoods checks each local map and sets
+    f[p] from the first neighborhood holding p.  Overlapping neighborhoods
+    must agree pointwise, which is what makes the map well defined;
+    NotWellDefined names the point p of the least triple (i, j, p) where
+    listed neighborhoods i < j disagree (i is then the first one holding
+    p), and is raised only once every local map has passed its checks.
+    The assembled map is verified to be a homeomorphism outright;
+    ResultNotHomeomorphism is raised otherwise, so a returned map is
+    correct unconditionally.
+    """
     reps_x = [r for r, _ in g.neighborhood_bijection]
     reps_y = [r for _, r in g.neighborhood_bijection]
     for r in reps_x:
@@ -206,40 +218,22 @@ def _validate_glue(x: Space, y: Space, g: GlueData) -> list[dict[int, int]]:
         raise InvalidGlueData("listed source neighborhoods do not exhaust the space")
     if set(dst_sets) != set(y.distinct_masks):
         raise InvalidGlueData("listed target neighborhoods do not exhaust the space")
-    locals_: list[dict[int, int]] = []
-    for i, entries in enumerate(g.local_maps):
-        m = dict(entries)
-        if len(m) != len(entries):
-            raise InvalidGlueData(f"local map {i} repeats a source point")
-        if m.keys() != set(iter_bits(src_sets[i])):
-            raise InvalidGlueData(
-                f"local map {i} is not defined on exactly the members of its neighborhood"
-            )
-        values = set(m.values())
-        if values != set(iter_bits(dst_sets[i])) or len(values) != len(m):
-            raise InvalidGlueData(
-                f"local map {i} is not a bijection onto the target neighborhood"
-            )
-        locals_.append(m)
-    return locals_
-
-
-def glue(x: Space, y: Space, g: GlueData) -> SpaceMap:
-    """Assemble a homeomorphism from a neighborhood bijection and local maps.
-
-    One pass over the listed neighborhoods sets f[p] from the first one
-    holding p.  Overlapping neighborhoods must agree pointwise, which is
-    what makes the map well defined; NotWellDefined names the point p of
-    the least triple (i, j, p) where listed neighborhoods i < j disagree
-    (i is then the first one holding p).  The assembled map is verified
-    to be a homeomorphism outright; ResultNotHomeomorphism is raised
-    otherwise, so a returned map is correct unconditionally.
-    """
-    locals_ = _validate_glue(x, y, g)  # every point's own neighborhood is listed
-    f = [-1] * x.n
+    f = [-1] * x.n  # every point's own neighborhood is listed, so each is set
     first = [-1] * x.n  # the first listed neighborhood holding each point
     clashes = []
-    for j, local in enumerate(locals_):  # each local map's keys are its neighborhood's members
+    for j, entries in enumerate(g.local_maps):
+        local = dict(entries)
+        if len(local) != len(entries):
+            raise InvalidGlueData(f"local map {j} repeats a source point")
+        if local.keys() != set(iter_bits(src_sets[j])):
+            raise InvalidGlueData(
+                f"local map {j} is not defined on exactly the members of its neighborhood"
+            )
+        values = set(local.values())
+        if values != set(iter_bits(dst_sets[j])) or len(values) != len(local):
+            raise InvalidGlueData(
+                f"local map {j} is not a bijection onto the target neighborhood"
+            )
         for p, v in local.items():
             if first[p] < 0:
                 f[p], first[p] = v, j
