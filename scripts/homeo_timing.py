@@ -20,8 +20,8 @@ to the given bound.  Run with::
 
     PYTHONPATH=src python scripts/homeo_timing.py [max_bound] [k]
 
-The defaults are 250 and 3; ``max_bound`` 500 adds ``divisor(500)`` and
-1000 adds ``divisor(1000)``.
+The defaults are 250 and 3; ``max_bound`` 500 adds ``divisor(500)``,
+1000 adds ``divisor(1000)`` and 2000 adds ``divisor(2000)``.
 """
 
 import hashlib
@@ -38,7 +38,7 @@ SEED = 7
 
 def pairs(max_bound: int):
     """(name, a, b) with b the second space before relabeling."""
-    for bound in (60, 250, 500, 1000):
+    for bound in (60, 250, 500, 1000, 2000):
         if bound <= max_bound:
             yield f"divisor({bound})", divisor(bound), divisor(bound)
     yield "blocks(8, 8)", blocks(8, 8), blocks(8, 8)

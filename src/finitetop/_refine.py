@@ -11,8 +11,8 @@ search a color is the position of its cell's first point.
 
 |Aut| is the product of the first-path orbit sizes (McKay & Piperno,
 2014), so the search's generators are a strong generating set along its
-first path, ``SearchResult.base``, and ``least_map`` completes any other
-``Chain`` by sifting uniform random elements of the chain along it.
+first path, ``SearchResult.base``; where they fall short along another
+base, ``least_map`` changes base by conjugation and adjacent swaps.
 """
 
 from __future__ import annotations
@@ -551,73 +551,83 @@ def canonical_order(
     )
 
 
-class Chain:
-    """A stabilizer chain along ``base`` of the group that gens generate on range(n).
+def _tree(b: int, gens: Sequence[Sequence[int]]) -> dict:
+    """b's orbit under gens, breadth first: y maps to (x, g) with g[x] = y, and b to (b, None)."""
+    tree: dict = {b: (b, None)}
+    walk = [b]
+    for x in walk:
+        for g in gens:
+            y = g[x]
+            if y not in tree:
+                tree[y] = (x, g)
+                walk.append(y)
+    return tree
 
-    ``trees[i]`` maps each point y of the basic orbit of base[i] under
-    the strong generators fixing base[0..i-1] to (x, k) with
-    strong[k][x] = y, and base[i] to (base[i], -1); the representative
-    u_y, which sends base[i] to y, is strong[k] composed after u_x.
-    ``size``, the product of the basic-orbit sizes, reaches the group's
-    order exactly when the strong generators are a strong generating set.
+
+class Chain:
+    """A stabilizer chain along ``base`` of the group G that gens generate on range(n).
+
+    ``levels[i]`` holds the base point b_i, generators S_i and the
+    Schreier tree (``_tree``) of b_i's orbit Δ_i under them.  S_0 starts
+    as gens, and S_(i+1) is the members of S_i that fix b_i.  The
+    representative u_y sending b_i to y is g ∘ u_x for (x, g) = tree[y].
+    ``size``, the product of the |Δ_i|, reaches |G| exactly when each S_i
+    generates the stabilizer G^(i) of b_0..b_(i-1): a strong generating
+    set.  ``swap`` keeps both.
     """
 
-    def __init__(self, base: Sequence[int], n: int, gens: Iterable[list[int]]) -> None:
-        self.base = base
+    def __init__(self, base: Sequence[int], n: int, gens: Iterable[Sequence[int]]) -> None:
         self.identity = list(range(n))
-        self.strong: list[list[int]] = []
-        self.level_gens: list[list[int]] = [[] for _ in base]
-        self.trees = [{b: (b, -1)} for b in base]
-        self.size = 1
-        self.last = -1  # the deepest level whose basic orbit is more than its base point
-        for g in gens:
-            self.add(g)
+        self.levels: list[tuple[int, list, dict]] = []
+        gens = list(gens)
+        for b in base:
+            self.levels.append((b, gens, _tree(b, gens)))
+            gens = [g for g in gens if g[b] == b]
+        self.size = prod(len(tree) for _, _, tree in self.levels)
 
-    def add(self, g: list[int]) -> None:
-        """Join g to the levels 0..j, j the first level whose base point g moves, if any."""
-        strong, level_gens, trees = self.strong, self.level_gens, self.trees
-        j = next((i for i, b in enumerate(self.base) if g[b] != b), -1)
-        self.last = max(self.last, j)
-        k = len(strong)
-        strong.append(g)
-        for i in range(j + 1):
-            level_gens[i].append(k)
-            tree = trees[i]
-            # The tree is closed under the level's older generators, so
-            # only g leads out of it; each point g adds then meets them all.
-            frontier = []
-            for y in list(tree):
-                if g[y] not in tree:
-                    tree[g[y]] = (y, k)
-                    frontier.append(g[y])
-            for y in frontier:
-                for kk in level_gens[i]:
-                    z = strong[kk][y]
-                    if z not in tree:
-                        tree[z] = (y, kk)
-                        frontier.append(z)
-        self.size = prod(map(len, trees))
+    def swap(self, i: int) -> None:
+        """Exchange the base points b and c of levels i and i + 1 (Sims' base swap).
 
-    def sift(self, h: list[int]) -> list[int] | None:
-        """h ∘ u_0 ∘ u_1 ∘ ..., each u_i making it fix base[i], or None if that is the identity.
-
-        None means the chain holds h.  A residue fixes the base points of
-        the levels passed; past ``last`` every basic orbit is a point.
+        Level i keeps S_i, and level i + 1 takes the members of S_i that
+        fix c.  When those that move b keep Δ_(i+1), and the edges of b's
+        tree fix c, the two trees change places.  Otherwise b's orbit under
+        G^(i)_c must reach |Δ_i| · |Δ_(i+1)| / |c^G^(i)| points; until it
+        does, each y of Δ_i outside it whose u_y sends some z of Δ_(i+1)
+        to c adds u_y ∘ u'_z, which fixes c and sends b to y, to S_0..S_(i+1)
+        (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*,
+        2005, §4.4.7).
         """
-        for i in range(self.last + 1):
-            z = h.index(self.base[i])  # the image of base[i] under h⁻¹
-            if z not in self.trees[i]:
-                return h
-            h = self.times_rep(h, i, z)
-        return None if h == self.identity else h
+        levels = self.levels
+        (b, gens, old), (c, _, lower) = levels[i], levels[i + 1]
+        fixing = [g for g in gens if g[c] == c]
+        kept = all(g[y] in lower for g in gens if g[b] != b for y in lower)
+        if kept and all(g is None or g[c] == c for _, g in old.values()):
+            levels[i], levels[i + 1] = (c, gens, lower), (b, fixing, old)
+            return
+        top = _tree(c, gens)
+        size = len(old) * len(lower) // len(top)
+        tree = _tree(b, fixing)
+        for y in old:
+            if len(tree) == size:
+                break
+            if y not in tree:
+                x = self.times_rep(self.identity, i, y)
+                z = x.index(c)
+                if z in lower:
+                    g = self.times_rep(x, i + 1, z)
+                    for _, gs, _ in levels[: i + 1]:
+                        gs.append(g)
+                    fixing.append(g)
+                    tree = _tree(b, fixing)
+        levels[i], levels[i + 1] = (c, gens, top), (b, fixing, tree)
 
     def times_rep(self, h: list[int], i: int, y: int) -> list[int]:
-        """h ∘ u_y, u_y the representative of level i sending base[i] to y."""
-        tree = self.trees[i]
-        y, k = tree[y]
-        while k >= 0:  # one tree edge at a time
-            h = list(map(h.__getitem__, self.strong[k]))
-            y, k = tree[y]
+        """h ∘ u_y, u_y the representative of level i sending its base point to y."""
+        tree = self.levels[i][2]
+        y, g = tree[y]
+        while g is not None:  # one tree edge at a time
+            h = list(map(h.__getitem__, g))
+            y, g = tree[y]
         return h
 
 
@@ -628,45 +638,53 @@ def least_map(
 
     f is a permutation of the points.  gens must be a strong generating
     set along ``base``, as the search's generators are along its first
-    path.  Only the points some generator moves enter the chains,
+    path.  Only the points some generator moves enter the chain,
     numbered in ascending order so that numbers compare as the points
-    do.  The chain along f[0], f[1], ... built from gens mostly reaches
-    ``order``.  If not, the chain along ``base`` must (InternalError
-    otherwise); uniform random elements of it, one representative per
-    level from a local ``random.Random(0)``, are sifted into the chain
-    along f, each residue added, until that reaches ``order`` (Seress,
-    *Permutation Group Algorithms*, 2003, §4.3), by the same draws every
-    call.  A size past ``order`` raises InternalError.
+    do.  The chain along f[0], f[1], ... mostly reaches ``order``; if
+    not, the chain along ``base`` must (InternalError otherwise).
 
-    Every h in the group is u_0 ∘ u_1 ∘ ... with u_i a coset
-    representative of level i, and the later factors fix the level's
-    base point, so its image under h depends on u_0..u_i alone: level by
-    level, the representative u_y whose y the product so far sends lowest
-    gives the least image, and the product after the last level gives
-    the least map.  Where no generator moves f[x], the map keeps f[x].
+    The maps left are h ∘ K ∘ c⁻¹, K the group of the top level, h the
+    partial map and c the conjugator, both the identity at first.  Each
+    moved point t, in f order, is read at s = c⁻¹(t).  If K fixes s,
+    every map left sends t to h(s).  If s lies in the top orbit, K is
+    u_s K u_s⁻¹ with u_s sending the top base point b to s, so c becomes
+    c ∘ u_s and s becomes b: the chain is conjugated lazily.  Otherwise s
+    is inserted below the last level that moves it and swapped to the
+    top.  Those left that send t lowest are h ∘ u_y ∘ K_b ∘ c⁻¹, y the
+    point of the top orbit with the least h(y), so h becomes h ∘ u_y and
+    the top level goes.  The orbit sizes read must multiply to ``order``
+    (InternalError otherwise).  Where no generator moves f[x], the map
+    keeps f[x].
     """
     moved = [x for x, images in enumerate(zip(*gens)) if images.count(x) < len(gens)]
     number = dict(zip(moved, count()))
     frame = [[number[g[x]] for x in moved] for g in gens]
-    f_chain = Chain([number[y] for y in f if y in number], len(moved), frame)
-    if f_chain.size != order:
-        base_chain = Chain([number[y] for y in base if y in number], len(moved), frame)
-        if base_chain.size != order:
+    targets = [number[y] for y in f if y in number]
+    along = Chain(targets, len(moved), frame)
+    if along.size != order:
+        along = Chain([number[y] for y in base if y in number], len(moved), frame)
+        if along.size != order:
             raise InternalError("the generators are no strong generating set of that order")
-        import random  # here, so that importing the package leaves random unloaded
-
-        rng = random.Random(0)
-        levels = [(i, list(tree)) for i, tree in enumerate(base_chain.trees) if len(tree) > 1]
-        while f_chain.size < order:
-            g = f_chain.identity
-            for i, points in levels:
-                g = base_chain.times_rep(g, i, rng.choice(points))
-            residue = f_chain.sift(g)
-            if residue is not None:
-                f_chain.add(residue)
-        if f_chain.size != order:
-            raise InternalError("the chain outgrew the stated order")
-    h = f_chain.identity
-    for i, tree in enumerate(f_chain.trees):
-        h = f_chain.times_rep(h, i, min(tree, key=h.__getitem__))
-    return [moved[h[number[y]]] if y in number else y for y in f]
+    levels = along.levels
+    h = c = along.identity
+    read = 1
+    for t in targets:
+        if not levels:
+            break
+        s = c.index(t)
+        if s not in levels[0][2]:
+            fixes = (k for k, (_, gs, _) in enumerate(levels) if all(g[s] == s for g in gs))
+            k = next(fixes, len(levels))
+            if k == 0:
+                continue
+            b, gs, _ = levels[k - 1]
+            levels.insert(k, (s, [g for g in gs if g[b] == b], {s: (s, None)}))
+            for i in reversed(range(k)):
+                along.swap(i)
+        c = along.times_rep(c, 0, s)
+        read *= len(levels[0][2])
+        h = along.times_rep(h, 0, min(levels[0][2], key=h.__getitem__))
+        del levels[0]
+    if read != order:
+        raise InternalError("the orbits read do not multiply to the order")
+    return [moved[h[c.index(number[y])]] if y in number else y for y in f]  # h ∘ c⁻¹ ∘ f

@@ -135,8 +135,8 @@ def find_homeomorphism(
     individualization budget (SearchBudgetExceeded).  The homeomorphisms
     are h ∘ φ for h in Aut(b) = φ Aut(a) φ⁻¹, and ``_refine.least_map``
     picks the least of them from a's generators carried over to b.
-    They form a strong generating set along the image of a's first path,
-    and seeded draws from that chain complete one along φ if they do not.
+    They form a strong generating set along the image of a's first path;
+    conjugation and adjacent base swaps bring that base into φ's order.
     Spaces whose neighborhood sizes differ as multisets answer None
     before any search.
     """

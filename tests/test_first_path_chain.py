@@ -6,17 +6,16 @@ sizes (McKay & Piperno, "Practical graph isomorphism II", 2014), so a
 ``Chain`` along that base built from the search's generators, with no
 Schreier generator sifted, must reach |Aut|.  ``least_map`` relies on
 this: when the chain along f falls short it checks that chain, then
-completes the one along f with draws from a local ``random.Random(0)``.
-These tests check the first claim on a seeded corpus and that the draws
-repeat, leave the global random state alone and give the oracle's map.
+changes its base by conjugation and adjacent swaps as it reads the map.
+These tests check the first claim on a seeded corpus, and that the base
+change repeats, gives the oracle's map and has its reading checked.
 """
-
-import random
 
 import pytest
 
-from finitetop._refine import Chain, canonical_order
+from finitetop._refine import Chain, _tree, canonical_order, order_map
 from finitetop.constructions import disjoint_sum, product
+from finitetop.errors import InternalError
 from finitetop.generators import blocks, discrete, divisor, indiscrete, random_space
 from finitetop.maps import find_homeomorphism
 
@@ -52,24 +51,32 @@ def test_the_first_path_chain_reaches_aut():
 
 
 #: Shuffled crown pairs (seed, 100 + seed) whose generators fall short
-#: along f, so that ``least_map`` draws.
-DRAWING = [(4, 1), (4, 6), (4, 10), (5, 7), (5, 10)]
+#: along f, so that ``least_map`` changes the base of the first-path chain.
+FALLING_SHORT = [(4, 1), (4, 6), (4, 10), (5, 7), (5, 10)]
 
 
-@pytest.mark.parametrize("k, seed", DRAWING)
-def test_draws_repeat_and_leave_the_global_state_alone(k, seed, monkeypatch):
+@pytest.mark.parametrize("k, seed", FALLING_SHORT)
+def test_the_base_change_repeats_and_gives_the_oracle_map(k, seed):
     a, b = shuffled(crown(k), seed), shuffled(crown(k), 100 + seed)
-    seeds = []
-
-    class Counted(random.Random):
-        def __init__(self, *args):
-            seeds.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(random, "Random", Counted)
-    state = random.getstate()
+    ra = canonical_order(a.masks)
+    phi = order_map(ra.order, canonical_order(b.masks, target=ra.encoding).order)
+    gens = [order_map(phi, [phi[y] for y in g]) for g in ra.generators]
+    assert Chain(phi, b.n, gens).size < ra.aut
     first, second = find_homeomorphism(a, b), find_homeomorphism(a, b)
-    assert seeds == [(0,), (0,)]
-    assert random.getstate() == state
     assert first.f == second.f
     assert first.f == least_isomorphism_backtracking(list(a.masks), list(b.masks), 10**6)
+
+
+@pytest.mark.parametrize("k, seed", FALLING_SHORT)
+def test_a_swap_that_drops_a_generator_is_caught(k, seed, monkeypatch):
+    swap = Chain.swap
+
+    def lossy(chain, i):
+        swap(chain, i)
+        b, gens, _ = chain.levels[i + 1]
+        chain.levels[i + 1] = (b, gens[:-1], _tree(b, gens[:-1]))
+
+    monkeypatch.setattr(Chain, "swap", lossy)
+    a, b = shuffled(crown(k), seed), shuffled(crown(k), 100 + seed)
+    with pytest.raises(InternalError, match="orbits read"):
+        find_homeomorphism(a, b)

@@ -9,8 +9,9 @@ block spaces, whose Aut moves every point.  A change to the stabilizer
 chain or to how the least map is read off it that picks another map
 shows here.  Two more relabelings of the divisibility space are pinned
 one direction at a time, so that a failure names the direction, and so
-are the maps between two shuffles of each sum of crowns in
-``strategies.crown_sums``.
+are relabeled → original ``divisor(500)``, where the chain along f
+falls short and the base change runs, and the maps between two
+shuffles of each sum of crowns in ``strategies.crown_sums``.
 """
 
 import hashlib
@@ -63,6 +64,17 @@ def test_relabeled_divisor_maps_are_byte_identical(seed, direction):
     a, b = (space, relabeled) if direction == "original → relabeled" else (relabeled, space)
     f = find_homeomorphism(a, b).f
     assert hashlib.sha256(repr(f).encode()).hexdigest() == DIVISOR_SHA256[seed, direction]
+
+
+#: sha256 of repr(f) for relabeled → original divisor(500), shuffle seed 7, recorded while
+#: random draws still completed the chain along f, which falls short on this pair.
+DIVISOR_500_SHA256 = "533e5ce0e7215457d0ce8740566657676edfacb751b82b691f37aa58eda025d4"
+
+
+def test_relabeled_divisor_500_map_is_byte_identical():
+    space = divisor(500)
+    f = find_homeomorphism(shuffled(space, 7), space).f
+    assert hashlib.sha256(repr(f).encode()).hexdigest() == DIVISOR_500_SHA256
 
 
 #: sha256 of the crown-sum maps below, recorded before any repeated leaf table gave an automorphism.

@@ -12,7 +12,8 @@ An interpreter started with ``-S -I`` runs no site hook, which on some
 installations loads ``typing`` and ``random`` before any user code.  There
 ``finitetop.cli`` must load neither: annotations come from
 ``collections.abc``, and ``random`` is imported inside ``random_space``.
-A second source scan keeps ``typing`` out of the package.
+A second source scan keeps ``typing`` out of the package, and a third
+keeps ``random`` out of every module but ``generators``.
 """
 
 import ast
@@ -117,3 +118,8 @@ def test_no_source_file_imports_dataclasses():
 
 def test_no_source_file_imports_typing():
     assert _offenders("typing") == []
+
+
+def test_only_generators_imports_random():
+    # random_space is the one user of random; the least map is deterministic.
+    assert [o for o in _offenders("random") if not o.startswith("finitetop/generators.py:")] == []
