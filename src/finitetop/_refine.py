@@ -17,7 +17,6 @@ base, ``least_map`` changes base by conjugation and adjacent swaps.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, compress, count, groupby
 from math import prod
@@ -186,14 +185,8 @@ def _stable(
 ) -> tuple[list[int], dict[int, list[int]]]:
     """The stable first-position colors and non-singleton cells from the start fingerprints."""
     if initial is None:
-        sizes = [len(ys) for ys in down]
-        size = sizes.__getitem__
-        # The member sizes are read only where |S(x)| is shared: any other
-        # point is set apart by its size alone.
-        shared = {k for k, m in Counter(sizes).items() if m > 1}
-        sigs: list = [
-            (len(ys), tuple(sorted(map(size, ys))) if len(ys) in shared else ()) for ys in down
-        ]
+        size = [len(ys) for ys in down].__getitem__
+        sigs: list = [(len(ys), sorted(map(size, ys))) for ys in down]
     else:
         sigs = list(initial)
     # A cell's color is the number of points with a lesser signature: the

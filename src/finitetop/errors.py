@@ -21,15 +21,21 @@ class InvalidArgument(FinitetopError, ValueError):
     """A size or parameter outside the range an operation accepts."""
 
 
-class _PointWitness(FinitetopError):
-    """An error naming points: ``fields`` are their attributes, ``template`` the message."""
+class _Witness(FinitetopError):
+    """An error carrying data: ``fields`` name its attributes, ``template`` the message."""
 
-    fields: tuple[str, ...] = ("point",)
+    fields: tuple[str, ...] = ()
     template: str
 
-    def __init__(self, *points: int):
-        self.__dict__.update(zip(self.fields, points, strict=True))
-        super().__init__(self.describe(str))
+    def __init__(self, *values: object):
+        self.__dict__.update(zip(self.fields, values, strict=True))
+        super().__init__(self.template.format_map(vars(self)))
+
+
+class _PointWitness(_Witness):
+    """An error whose ``fields`` are witness points."""
+
+    fields = ("point",)
 
     def describe(self, name: Callable[[int], str]) -> str:
         """The message with each witness point written as ``name(point)``."""
@@ -71,13 +77,11 @@ class NoMinimalSet(_PointWitness):
     )
 
 
-class NotATopology(FinitetopError):
+class NotATopology(_Witness):
     """An alleged open-set family fails a closure requirement."""
 
-    def __init__(self, reason: str, missing_bits: int):
-        self.reason = reason
-        self.missing_bits = missing_bits
-        super().__init__(reason)
+    fields = ("reason", "missing_bits")
+    template = "{reason}"
 
 
 class NotReflexive(_PointWitness):
@@ -87,35 +91,30 @@ class NotReflexive(_PointWitness):
 
 
 class NotTransitive(FinitetopError):
+    """The relation holds (x, y) and (y, z) but not (x, z); ``triple`` is (x, y, z)."""
+
     def __init__(self, x: int, y: int, z: int):
         self.triple = (x, y, z)
-        super().__init__(
-            f"relation contains ({x}, {y}) and ({y}, {z}) but not ({x}, {z})"
-        )
+        super().__init__(f"relation contains ({x}, {y}) and ({y}, {z}) but not ({x}, {z})")
 
 
-class TooManyOpenSets(FinitetopError):
-    def __init__(self, limit: int):
-        self.limit = limit
-        super().__init__(f"open-set enumeration exceeds the limit of {limit} sets")
+class TooManyOpenSets(_Witness):
+    fields = ("limit",)
+    template = "open-set enumeration exceeds the limit of {limit} sets"
 
 
 # ---------------------------------------------------------------------------
 # constructions
 
 
-class SizeOverflow(FinitetopError):
-    def __init__(self, size: int, bound: int):
-        self.size = size
-        self.bound = bound
-        super().__init__(f"resulting carrier would have {size} points (bound {bound})")
+class SizeOverflow(_Witness):
+    fields = ("size", "bound")
+    template = "resulting carrier would have {size} points (bound {bound})"
 
 
-class PartitionMismatch(FinitetopError):
-    def __init__(self, expected: int, got: int):
-        self.expected = expected
-        self.got = got
-        super().__init__(f"partition is over {got} points, space has {expected}")
+class PartitionMismatch(_Witness):
+    fields = ("expected", "got")
+    template = "partition is over {got} points, space has {expected}"
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +133,9 @@ class NotOpen(_PointWitness):
     template = "image of the neighborhood of point {point} is not open in the image"
 
 
-class SearchBudgetExceeded(FinitetopError):
-    def __init__(self, budget: int):
-        self.budget = budget
-        super().__init__(f"search exceeded its node budget of {budget}")
+class SearchBudgetExceeded(_Witness):
+    fields = ("budget",)
+    template = "search exceeded its node budget of {budget}"
 
 
 class InvalidGlueData(FinitetopError):
@@ -150,43 +148,38 @@ class NotWellDefined(_PointWitness):
     template = "local maps disagree at point {point}"
 
 
-class ResultNotHomeomorphism(FinitetopError):
-    def __init__(self) -> None:
-        super().__init__("assembled map failed the final homeomorphism verification")
+class ResultNotHomeomorphism(_Witness):
+    """The glued map is well defined, but source and target differ in size."""
+
+    template = "assembled map failed the final homeomorphism verification"
 
 
 # ---------------------------------------------------------------------------
 # invariants
 
 
-class EmptySpace(FinitetopError):
-    def __init__(self) -> None:
-        super().__init__("invariant is undefined on the empty space")
+class EmptySpace(_Witness):
+    template = "invariant is undefined on the empty space"
 
 
 # ---------------------------------------------------------------------------
 # census
 
 
-class TooLarge(FinitetopError):
-    def __init__(self, n: int, cap: int):
-        self.n = n
-        self.cap = cap
-        super().__init__(f"exhaustive enumeration is capped at {cap} points (got {n})")
+class TooLarge(_Witness):
+    fields = ("n", "cap")
+    template = "exhaustive enumeration is capped at {cap} points (got {n})"
 
 
 # ---------------------------------------------------------------------------
 # cli / document format
 
 
-class ParseError(FinitetopError):
+class ParseError(_Witness):
     """Syntax error in a space or glue document (1-based line and column)."""
 
-    def __init__(self, line: int, column: int, message: str):
-        self.line = line
-        self.column = column
-        self.message = message
-        super().__init__(f"line {line}, column {column}: {message}")
+    fields = ("line", "column", "message")
+    template = "line {line}, column {column}: {message}"
 
 
 class ValidationError(FinitetopError):

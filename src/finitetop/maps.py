@@ -196,9 +196,13 @@ def glue(x: Space, y: Space, g: GlueData) -> SpaceMap:
     NotWellDefined names the point p of the least triple (i, j, p) where
     listed neighborhoods i < j disagree (i is then the first one holding
     p), and is raised only once every local map has passed its checks.
-    The assembled map is verified to be a homeomorphism outright;
-    ResultNotHomeomorphism is raised otherwise, so a returned map is
-    correct unconditionally.
+    A well-defined f is onto y, as every target neighborhood is listed
+    and each local map is onto its own, so it is a bijection exactly
+    when x.n == y.n; ResultNotHomeomorphism is raised otherwise.  A
+    bijection is a homeomorphism: f(S(x)) is a target neighborhood
+    holding f(x), so it contains S(f(x)), and S(f(x)) is f(M) for the M
+    paired with it, where injectivity puts x, so f(S(x)) ⊆ S(f(x)).
+    The result is re-checked all the same (InternalError).
     """
     reps_x = [r for r, _ in g.neighborhood_bijection]
     reps_y = [r for _, r in g.neighborhood_bijection]
@@ -241,6 +245,8 @@ def glue(x: Space, y: Space, g: GlueData) -> SpaceMap:
                 clashes.append((first[p], j, p))
     if clashes:
         raise NotWellDefined(min(clashes)[2])
-    if not _is_structure_isomorphism(x, y, f):
+    if x.n != y.n:
         raise ResultNotHomeomorphism()
+    if not _is_structure_isomorphism(x, y, f):
+        raise InternalError("glued map is not a homeomorphism")
     return SpaceMap(x, y, tuple(f))

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import finitetop.census
@@ -40,6 +42,14 @@ class TestEnumerate:
         first = [s.masks for s in enumerate_spaces(3)]
         second = [s.masks for s in enumerate_spaces(3)]
         assert first == second
+
+    def test_five_point_sequence_pinned(self):
+        """The labeled spaces on five points, in yield order, as first recorded."""
+        lines = [repr(s.masks) for s in enumerate_spaces(5)]
+        assert len(lines) == 6942
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "7b430c0cc10257b557bead2c19083cff7d61526b89daf3de9312b61840463790"
+        )
 
 
 class TestCensus:

@@ -270,6 +270,58 @@ class TestRun:
         assert captured.out == ""
         assert captured.err == "error: line 6, column 6: source point 'b' is sent twice for this pair\n"
 
+    def test_glue_onto_a_smaller_carrier_is_rejected(self, tmp_path, capsys):
+        x = write(tmp_path, "x.space", "space X\npoints a b c\nnbhd a: a\nnbhd b: b c\nnbhd c: b c\n")
+        y = write(tmp_path, "s.space", SIERP_TEXT)
+        data = write(tmp_path, "onto.glue", "pair a a\nsend a a\npair b b\nsend b a\nsend c b\n")
+        assert run(["glue", x, y, "--data", data]) == 1
+        assert capsys.readouterr().out == (
+            "rejected: ResultNotHomeomorphism: "
+            "assembled map failed the final homeomorphism verification\n"
+        )
+
+    def test_glue_failed_recheck_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("finitetop.maps._is_structure_isomorphism", lambda a, b, f: False)
+        f = write(tmp_path, "s.space", SIERP_TEXT)
+        good = write(tmp_path, "good.glue", "pair a a\nsend a a\npair b b\nsend a a\nsend b b\n")
+        assert run(["glue", f, f, "--data", good]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal error: glued map is not a homeomorphism" in captured.err
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["continuous", "{s}", "{s}", "--map", "a"], "map entry 'a' is not LABEL:LABEL"),
+            (["continuous", "{s}", "{s}", "--map", "z:a"], "undeclared source point 'z'"),
+            (["continuous", "{s}", "{s}", "--map", "a:z"], "undeclared target point 'z'"),
+            (["subspace", "{s}", "--points", "z"], "undeclared point 'z'"),
+            (["quotient", "{s}", "--classes", "z"], "undeclared point 'z'"),
+            (["quotient", "{s}", "--classes", "a,a"], "point 'a' listed twice"),
+            (
+                ["glue", "{s}", "{s}", "--data", "frob a u"],
+                "line 1, column 1: unknown record 'frob'",
+            ),
+            (
+                ["glue", "{s}", "{s}", "--data", "pair a"],
+                "line 1, column 1: expected: pair SOURCE TARGET",
+            ),
+            (
+                ["glue", "{s}", "{s}", "--data", "pair z u"],
+                "line 1, column 6: undeclared source point 'z'",
+            ),
+        ],
+    )
+    def test_command_line_input_errors(self, command, message, tmp_path, capsys):
+        s = write(tmp_path, "s.space", SIERP_TEXT)
+        argv = [arg.format(s=s) for arg in command]
+        if command[0] == "glue":
+            argv[-1] = write(tmp_path, "data.glue", command[-1] + "\n")
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_gen_kinds(self, capsys):
         for argv in (
             ["gen", "chain", "4"],

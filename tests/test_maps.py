@@ -1,4 +1,5 @@
 import random
+from itertools import permutations, product as iproduct
 
 import pytest
 
@@ -13,6 +14,7 @@ from finitetop.errors import (
     NotOpen,
     NotWellDefined,
     InternalError,
+    ResultNotHomeomorphism,
     SearchBudgetExceeded,
 )
 from finitetop.generators import blocks, chain, discrete, divisor, indiscrete, random_space
@@ -353,6 +355,48 @@ class TestGlue:
         h = glue(s, s, data)
         assert h.f == (2, 3, 0, 1)
         assert find_homeomorphism(s, s) is not None  # sanity: self-homeos exist
+
+    def test_carriers_of_different_sizes_are_rejected(self):
+        """A well-defined gluing onto a smaller carrier is onto but not one-to-one."""
+        x = from_neighborhoods(3, [{0}, {1, 2}, {1, 2}])
+        data = GlueData.build([(0, 0), (1, 1)], [{0: 0}, {1: 0, 2: 1}])
+        with pytest.raises(ResultNotHomeomorphism):
+            glue(x, SIERP, data)
+
+    def test_every_consistent_three_point_gluing_succeeds(self):
+        """Over all labeled 3-point pairs, a gluing fails only by NotWellDefined."""
+        spaces = list(enumerate_spaces(3))
+        outcomes = {"glued": 0, "clash": 0}
+        for x in spaces:
+            xd = x.distinct_masks
+            for y in spaces:
+                yd = y.distinct_masks
+                if len(yd) != len(xd):
+                    continue
+                for perm in permutations(yd):
+                    if list(map(int.bit_count, perm)) != list(map(int.bit_count, xd)):
+                        continue
+                    pairs = [(x.masks.index(m), y.masks.index(n)) for m, n in zip(xd, perm)]
+                    members = refine.iter_bits
+                    choices = [
+                        [dict(zip(members(m), p)) for p in permutations(members(n))]
+                        for m, n in zip(xd, perm)
+                    ]
+                    for local in iproduct(*choices):
+                        try:
+                            h = glue(x, y, GlueData.build(pairs, local))
+                        except NotWellDefined:
+                            outcomes["clash"] += 1
+                            continue
+                        assert _is_structure_isomorphism(x, y, h.f)
+                        outcomes["glued"] += 1
+        assert outcomes == {"glued": 174, "clash": 774}
+
+    def test_a_failed_recheck_is_internal(self, monkeypatch):
+        monkeypatch.setattr("finitetop.maps._is_structure_isomorphism", lambda a, b, f: False)
+        data = GlueData.build([(0, 0), (1, 1)], [{0: 0}, {0: 0, 1: 1}])
+        with pytest.raises(InternalError):
+            glue(SIERP, SIERP, data)
 
     def test_conflicting_local_maps(self):
         data = GlueData.build([(0, 0), (1, 1)], [{0: 0}, {0: 1, 1: 0}])
