@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, compress, count, groupby
 from math import prod
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from ._value import Value
 from .errors import InternalError, SearchBudgetExceeded
@@ -360,6 +360,25 @@ class SearchResult(Value):
         return iter((self.order, self.generators, self.aut))
 
 
+class _Counts:
+    """One search's counts, named as the ``SearchResult`` fields after ``base``."""
+
+    individualizations = leaves = leaf_automorphisms = twin_swaps = class_swaps = orbit_skips = 0
+
+
+_counts = attrgetter(*SearchResult._fields[5:])  # a _Counts record's counts, in that order
+
+
+class _Node:
+    """A search node: stable colors and cells, tied cell, candidates left and those explored."""
+
+    __slots__ = ("colors", "cells", "cell", "candidates", "explored")
+
+    def __init__(self, colors: list[int], cells: dict[int, list[int]]) -> None:
+        self.colors, self.cells, self.cell, self.explored = colors, cells, cells[min(cells)], []
+        self.candidates = iter(self.cell)
+
+
 def canonical_order(
     masks: Sequence[int],
     budget: int = DEFAULT_SEARCH_BUDGET,
@@ -370,9 +389,10 @@ def canonical_order(
 
     Points are arranged by refined color; a tied cell (the least tied
     color) is split by individualizing each candidate in turn, depth
-    first with an explicit stack.  Each node holds its stable colors and
-    cells, so it reads its tied cell off them and is a leaf when no cell
-    is tied, and each child is refined from its parent's cells
+    first with an explicit stack.  A node (``_Node``) holds its stable
+    ``colors`` and ``cells``, its tied ``cell``, an iterator over its
+    ``candidates`` and those ``explored``; it is a leaf when no cell is
+    tied, and each child is refined from its parent's cells
     (``_child``).  The order kept is the leaf with the lexicographically
     least relabeled mask table (``encode``), which depends only on the
     structure, never on the incoming numbering; it is returned as
@@ -451,97 +471,86 @@ def canonical_order(
     # One union-find orbit array over every generator found; it prunes only at first-path nodes.
     orbits = list(range(n))
     aut = 1
-    spent = 0
+    counts = _Counts()
     seen: dict[tuple[int, ...], tuple[list[int], tuple[int, ...]]] = {}  # table -> (order, path)
     best_enc: tuple[int, ...] = ()
     best_order: list[int] = []
     base: tuple[int, ...] = ()  # the points the first path individualizes
-    first_depth = 0  # stack index of the deepest first-path node, once a leaf is found
-    leaves = leaf_automorphisms = twin_swaps = class_swaps = orbit_skips = 0
-    # A node: [colors, cells, its least cell, next candidate index, explored children].
-    stack: list[list] = []
+    first_len = 0  # how many first-path nodes lie at the foot of the stack, once a leaf is found
+    stack: list[_Node] = []
 
     def record(perm: Sequence[int]) -> None:
         gens.append(tuple(perm))
         for x, y in enumerate(perm):
             if x != y:
-                rx, ry = _find(orbits, x), _find(orbits, y)
-                if rx != ry:
-                    orbits[rx] = ry
+                orbits[_find(orbits, x)] = _find(orbits, y)
 
-    node: tuple[list[int], dict[int, list[int]]] | None = _stable(down, up)
+    colors, cells = _stable(down, up)
     while True:
-        if node is not None:
-            colors, cells = node
-            if cells:
-                stack.append([colors, cells, cells[min(cells)], 0, []])
-            else:
-                # Every cell is a singleton, so the colors are the positions 0..n-1.
-                order = order_map(colors, range(n))
-                enc = encode(down, order)
-                leaves += 1
-                if target is not None and enc <= target:
-                    best_enc, best_order = enc, order
-                    break
-                path = tuple(top[2][top[3] - 1] for top in stack)
-                earlier, earlier_path = seen.setdefault(enc, (order, path))
-                if earlier_path is not path:  # the table repeats an earlier leaf's
-                    record(order_map(earlier, order))
-                    leaf_automorphisms += 1
-                    del stack[1 + next(i for i, x in enumerate(path) if x != earlier_path[i]) :]
-                elif len(seen) == 1:
-                    first_depth, base, best_enc, best_order = len(stack) - 1, path, enc, order
-                elif enc < best_enc:
-                    best_enc, best_order = enc, order
-            node = None
-        if not stack:
-            break
-        top = stack[-1]
-        colors, cells, cell, i, explored = top
-        depth = len(stack) - 1
-        if i == len(cell):
-            stack.pop()
-            if depth == first_depth:
-                root = _find(orbits, cell[0])
-                aut *= sum(1 for q in cell if _find(orbits, q) == root)
-                first_depth -= 1
-            continue
-        top[3] = i + 1
-        p = cell[i]
-        if depth <= first_depth and explored:
-            rp = _find(orbits, p)
-            if any(_find(orbits, q) == rp for q in explored):
-                orbit_skips += 1
-                continue
-        for q in explored:
-            if not ups:
-                bit = [1 << z for z in range(n)].__getitem__
-                ups = [sum(map(bit, zs)) for zs in up]
-            d = masks[p] ^ masks[q]
-            if ups[p] ^ ups[q] == d:
-                swap = list(range(n))
-                a = masks[p] & d  # p's class, or nothing when q shares it
-                if a & (a - 1):
-                    xs = [x for x in iter_bits(a) if x != p]
-                    ys = [y for y in iter_bits(d ^ a) if y != q]
-                    for x, y in zip([p, *xs], [q, *ys]):
-                        swap[x], swap[y] = y, x
-                    class_swaps += 1
-                else:
-                    swap[p], swap[q] = q, p
-                    twin_swaps += 1
-                record(swap)
-                break
+        if cells:
+            stack.append(_Node(colors, cells))
         else:
-            spent += 1
-            if spent > budget:
-                raise SearchBudgetExceeded(budget)
-            explored.append(p)
-            node = _child(down, up, colors, cells, p)
-    return SearchResult(
-        tuple(best_order), tuple(gens), aut, best_enc, base, spent, leaves,
-        leaf_automorphisms, twin_swaps, class_swaps, orbit_skips,
-    )
+            # Every cell is a singleton, so the colors are the positions 0..n-1.
+            order = order_map(colors, range(n))
+            enc = encode(down, order)
+            counts.leaves += 1
+            if target is not None and enc <= target:
+                best_enc, best_order = enc, order
+                break
+            path = tuple(top.explored[-1] for top in stack)
+            earlier, earlier_path = seen.setdefault(enc, (order, path))
+            if earlier_path is not path:  # the table repeats an earlier leaf's
+                record(order_map(earlier, order))
+                counts.leaf_automorphisms += 1
+                del stack[1 + next(i for i, x in enumerate(path) if x != earlier_path[i]) :]
+            elif len(seen) == 1:
+                first_len, base, best_enc, best_order = len(stack), path, enc, order
+            elif enc < best_enc:
+                best_enc, best_order = enc, order
+        while stack:  # to the next candidate to individualize
+            top = stack[-1]
+            p = next(top.candidates, None)
+            if p is None:
+                if len(stack) == first_len:
+                    root = _find(orbits, top.cell[0])
+                    aut *= sum(1 for q in top.cell if _find(orbits, q) == root)
+                    first_len -= 1
+                stack.pop()
+                continue
+            if len(stack) <= first_len and top.explored:
+                rp = _find(orbits, p)
+                if any(_find(orbits, q) == rp for q in top.explored):
+                    counts.orbit_skips += 1
+                    continue
+            for q in top.explored:
+                if not ups:
+                    bit = [1 << z for z in range(n)].__getitem__
+                    ups = [sum(map(bit, zs)) for zs in up]
+                d = masks[p] ^ masks[q]
+                if ups[p] ^ ups[q] == d:
+                    swap = list(range(n))
+                    a = masks[p] & d  # p's class, or nothing when q shares it
+                    if a & (a - 1):
+                        xs = [x for x in iter_bits(a) if x != p]
+                        ys = [y for y in iter_bits(d ^ a) if y != q]
+                        for x, y in zip([p, *xs], [q, *ys]):
+                            swap[x], swap[y] = y, x
+                        counts.class_swaps += 1
+                    else:
+                        swap[p], swap[q] = q, p
+                        counts.twin_swaps += 1
+                    record(swap)
+                    break
+            else:
+                counts.individualizations += 1
+                if counts.individualizations > budget:
+                    raise SearchBudgetExceeded(budget)
+                top.explored.append(p)
+                break
+        else:  # the stack is empty: the walk is over
+            break
+        colors, cells = _child(down, up, top.colors, top.cells, p)
+    return SearchResult(tuple(best_order), tuple(gens), aut, best_enc, base, *_counts(counts))
 
 
 def _tree(b: int, gens: Sequence[Sequence[int]]) -> dict:

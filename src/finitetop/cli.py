@@ -64,8 +64,9 @@ class SpaceDocument(Value):
     """A named space given by point labels and per-point neighborhood labels."""
 
     def __init__(
-        self, name: str, points: tuple[str, ...], neighborhoods: tuple[tuple[str, ...], ...]
+        self, name: str, points: Sequence[str], neighborhoods: Sequence[Sequence[str]]
     ) -> None:
+        points, neighborhoods = tuple(points), tuple(map(tuple, neighborhoods))
         self.__dict__.update(name=name, points=points, neighborhoods=neighborhoods)
 
     @cached_property

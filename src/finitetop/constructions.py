@@ -22,7 +22,8 @@ class Partition(Value):
     serialize deterministically.
     """
 
-    def __init__(self, carrier_size: int, class_of: tuple[int, ...], k: int) -> None:
+    def __init__(self, carrier_size: int, class_of: Sequence[int], k: int) -> None:
+        class_of = tuple(class_of)
         if len(class_of) != carrier_size:
             raise InvalidArgument("class_of length differs from carrier size")
         least: dict[int, int] = {}

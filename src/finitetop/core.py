@@ -111,7 +111,8 @@ class SubsetFamily(Value):
     family deduplicate, since families are set-valued mathematically.
     """
 
-    def __init__(self, carrier_size: int, sets: tuple[PointSet, ...]) -> None:
+    def __init__(self, carrier_size: int, sets: Iterable[PointSet]) -> None:
+        sets = tuple(sets)
         if carrier_size < 0:
             raise InvalidArgument(f"negative carrier size {carrier_size}")
         for s in sets:
@@ -125,7 +126,7 @@ class SubsetFamily(Value):
     def of(cls, carrier_size: int, sets: Iterable[Iterable[int]]) -> "SubsetFamily":
         return cls(
             carrier_size,
-            tuple(PointSet.from_points(carrier_size, s) for s in sets),
+            (PointSet.from_points(carrier_size, s) for s in sets),
         )
 
     def distinct_bits(self) -> list[int]:

@@ -29,7 +29,8 @@ from .errors import (
 class SpaceMap(Value):
     """A point function between two spaces; f[x] is the image of x."""
 
-    def __init__(self, source: Space, target: Space, f: tuple[int, ...]) -> None:
+    def __init__(self, source: Space, target: Space, f: Sequence[int]) -> None:
+        f = tuple(f)
         if len(f) != source.n:
             raise InvalidArgument(f"expected {source.n} images, got {len(f)}")
         for x, y in enumerate(f):
@@ -169,9 +170,11 @@ class GlueData(Value):
 
     def __init__(
         self,
-        neighborhood_bijection: tuple[tuple[int, int], ...],
-        local_maps: tuple[tuple[tuple[int, int], ...], ...],
+        neighborhood_bijection: Sequence[Sequence[int]],
+        local_maps: Sequence[Sequence[Sequence[int]]],
     ) -> None:
+        neighborhood_bijection = tuple(map(tuple, neighborhood_bijection))
+        local_maps = tuple(tuple(map(tuple, m)) for m in local_maps)
         if len(neighborhood_bijection) != len(local_maps):
             raise InvalidArgument("one local map is required per neighborhood pair")
         self.__dict__.update(neighborhood_bijection=neighborhood_bijection, local_maps=local_maps)
@@ -182,9 +185,7 @@ class GlueData(Value):
         pairs: Iterable[tuple[int, int]],
         local_maps: Iterable[dict[int, int]],
     ) -> "GlueData":
-        ps = tuple(pairs)
-        ms = tuple(tuple(sorted(m.items())) for m in local_maps)
-        return cls(ps, ms)
+        return cls(list(pairs), [sorted(m.items()) for m in local_maps])
 
 
 def glue(x: Space, y: Space, g: GlueData) -> SpaceMap:

@@ -15,10 +15,14 @@ generators, which depend on which repeated leaves the search meets.
 A fourth digest covers Cai–Fürer–Immerman posets, which color
 refinement cannot split, with the first path ``base`` and without the
 generators, so that a change to which subtrees the search prunes
-shows only if it changes the result.
+shows only if it changes the result.  A fifth digest covers every
+search counter and ``base`` over all four corpora, so a change that
+keeps the result but walks the tree differently, or miscounts the walk,
+shows there.
 """
 
 import hashlib
+from itertools import chain
 from operator import attrgetter
 
 from finitetop._refine import canonical_order
@@ -37,6 +41,9 @@ CROWN_SUMS_SHA256 = "dfed3848659a38fe754a2dfd0bf002278c0a41dd8603cce55a14ac95db2
 
 #: sha256 of the CFI posets below, recorded before automorphism pruning at every node.
 CFI_SHA256 = "024b356f0d590a6c8eca51f5b5c6734b50cc54aadb63906b6368f55165dae059"
+
+#: sha256 of the counters and base over all four corpora, recorded before named search state.
+COUNTERS_SHA256 = "df01e0a845313ee558f1d83e92719fac52e2c5715c5af1f5c3a0b371bd57cba1"
 
 
 def corpus():
@@ -100,3 +107,12 @@ def test_crown_sum_searches_keep_order_aut_and_table():
 def test_cfi_searches_keep_order_aut_table_and_base():
     fields = attrgetter("order", "aut", "encoding", "base")
     assert digest(cfi_posets(), fields) == CFI_SHA256
+
+
+def test_search_counters_are_pinned_on_every_corpus():
+    fields = attrgetter(
+        "base", "individualizations", "leaves", "leaf_automorphisms", "twin_swaps",
+        "class_swaps", "orbit_skips",
+    )
+    spaces = chain(corpus(), large(), shuffled_crown_sums(), cfi_posets())
+    assert digest(spaces, fields) == COUNTERS_SHA256

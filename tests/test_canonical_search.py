@@ -153,7 +153,8 @@ def test_leaves_repeating_any_earlier_table_prune_a_crown_sum():
     assert find_homeomorphism(space, shuffled(space, 2), budget=5000) is not None
 
 
-# Counted by hand.  discrete(6): every pair of points is a twin pair, so
+# Counted by hand.  The empty space is one leaf, reached with no
+# individualization.  discrete(6): every pair of points is a twin pair, so
 # the first path individualizes 0..4; each of its five cells (sizes 6..2)
 # has one twin swap and skips the rest, 4 + 3 + 2 + 1 + 0, as lying in
 # the orbit of its first point.  blocks(6, 2): the first path takes the
@@ -170,15 +171,18 @@ def test_leaves_repeating_any_earlier_table_prune_a_crown_sum():
 @pytest.mark.parametrize(
     "build, counts",
     [
-        (lambda: discrete(6), dict(leaves=1, leaf_automorphisms=0, twin_swaps=5,
-                                   class_swaps=0, orbit_skips=10, base=(0, 1, 2, 3, 4))),
-        (lambda: blocks(6, 2), dict(leaves=1, leaf_automorphisms=0, twin_swaps=6,
-                                    class_swaps=5, orbit_skips=25,
+        (lambda: discrete(0), dict(individualizations=0, leaves=1, leaf_automorphisms=0,
+                                   twin_swaps=0, class_swaps=0, orbit_skips=0, base=())),
+        (lambda: discrete(6), dict(individualizations=5, leaves=1, leaf_automorphisms=0,
+                                   twin_swaps=5, class_swaps=0, orbit_skips=10,
+                                   base=(0, 1, 2, 3, 4))),
+        (lambda: blocks(6, 2), dict(individualizations=6, leaves=1, leaf_automorphisms=0,
+                                    twin_swaps=6, class_swaps=5, orbit_skips=25,
                                     base=(0, 2, 4, 6, 8, 10))),
-        (lambda: crown(8), dict(leaves=3, leaf_automorphisms=2, twin_swaps=0,
-                                class_swaps=0, orbit_skips=6, base=(0, 1))),
+        (lambda: crown(8), dict(individualizations=5, leaves=3, leaf_automorphisms=2,
+                                twin_swaps=0, class_swaps=0, orbit_skips=6, base=(0, 1))),
     ],
-    ids=["discrete6", "blocks6x2", "crown8"],
+    ids=["empty", "discrete6", "blocks6x2", "crown8"],
 )
 def test_search_counters(build, counts):
     found = canonical_order(build().masks)

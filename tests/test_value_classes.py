@@ -203,6 +203,27 @@ class TestEquality:
         assert GeneratorSpec("chain", 3) != GeneratorSpec("chain", 3, density=0.25)
         assert report(chain(3)) != report(chain(4))
 
+    @pytest.mark.parametrize(
+        "from_lists, from_tuples",
+        [
+            (lambda: SpaceMap(SIERP, SIERP, [0, 1]), lambda: SpaceMap(SIERP, SIERP, (0, 1))),
+            (lambda: Partition(2, [0, 1], 2), lambda: Partition(2, (0, 1), 2)),
+            (lambda: GlueData([[0, 0]], [[[0, 0]]]), lambda: GlueData(((0, 0),), (((0, 0),),))),
+            (
+                lambda: SubsetFamily(2, [PointSet(2, 1)]),
+                lambda: SubsetFamily(2, (PointSet(2, 1),)),
+            ),
+            (
+                lambda: SpaceDocument("S", ["a"], [["a"]]),
+                lambda: SpaceDocument("S", ("a",), (("a",),)),
+            ),
+        ],
+        ids=["SpaceMap", "Partition", "GlueData", "SubsetFamily", "SpaceDocument"],
+    )
+    def test_sequence_fields_are_stored_as_tuples(self, from_lists, from_tuples):
+        a, b = from_lists(), from_tuples()
+        assert a == b and hash(a) == hash(b)
+
     def test_hash_is_the_field_tuple_hash(self):
         assert hash(PointSet(3, 1)) == hash((3, 1))
         assert hash(SIERP) == hash((2, (1, 3), None))
